@@ -343,12 +343,11 @@ def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
     """Filtered part -> bloom -> lineitem; correlated AVG in Spark."""
     li, pt = tables["lineitem"], tables["part"]
     with runner.phase("part", n_objects=len(pt.keys)) as p:
-        pt_pdf = read_table(
+        pt_df = read_table(
             spark, runner.store.root, "part",
             columns=["p_partkey", "p_brand", "p_container"],
-        ).filter(
-            "p_brand = 'Brand#23' AND p_container = 'MED BOX'"
-        ).toPandas()
+        ).filter("p_brand = 'Brand#23' AND p_container = 'MED BOX'")
+        pt_pdf = pt_df.toPandas()
         p.hash_rows = len(pt_pdf)
     bloom = _bloom_or_none(pt_pdf["p_partkey"].to_numpy(), "l_partkey")
 
@@ -364,8 +363,12 @@ def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
         # Exact join removes Bloom false positives; every true part keeps
         # *all* its lineitem rows (no false negatives), so the per-part
         # AVG equals the correlated subquery's.
+        # The explicit schema admits an empty build side (Spark cannot
+        # infer a schema from no rows); the answer is then NULL.
         joined = li_df.join(
-            spark.createDataFrame(pt_pdf[["p_partkey"]]),
+            spark.createDataFrame(
+                pt_pdf[["p_partkey"]], schema=pt_df.select("p_partkey").schema
+            ),
             li_df.l_partkey == F.col("p_partkey"),
         )
         avg = joined.groupBy("p_partkey").agg(

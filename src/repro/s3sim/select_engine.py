@@ -63,15 +63,17 @@ def s3_select(
             f"S3 Select limits expressions to 256 KB ({MAX_SQL_BYTES} bytes)"
         )
     query = parse(sql)
+    # Only the columns the query references are decoded; the scan (and
+    # so ``bytes_scanned``) still covers the whole CSV object.
+    cols = None if query.is_star else sorted(referenced_columns(query))
 
     if input_format == "csv":
         data = store.storage_read(key)
-        df = csvio.from_csv_bytes(data)
+        df = csvio.from_csv_bytes(data, select=cols)
         result = eval_query(query, df)
         scanned = _csv_scanned_bytes(query, data, len(df))
     elif input_format == "parquet":
         data = store.storage_read(key)
-        cols = None if query.is_star else sorted(referenced_columns(query))
         df = parquetio.read_columns(data, cols)
         result = eval_query(query, df)
         scanned = parquetio.scanned_bytes(data, cols)

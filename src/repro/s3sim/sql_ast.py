@@ -17,10 +17,29 @@ from typing import Optional, Union
 AGG_FUNCS = {"SUM", "COUNT", "AVG", "MIN", "MAX"}
 
 
-@dataclass(frozen=True)
+def _typed(value) -> tuple:
+    # Floats compare by repr so that 0.0 and -0.0 stay apart too.
+    return (type(value), repr(value) if isinstance(value, float) else value)
+
+
+@dataclass(frozen=True, eq=False)
 class Literal:
-    """A string, integer, float, or NULL literal."""
+    """A string, integer, float, or NULL literal.
+
+    Equality and hash include the value's type: ``1``, ``1.0`` and
+    ``True`` are equal in Python but evaluate (and render) differently,
+    so they are different literals. Every node holding a literal
+    inherits this, which makes structural equality a safe memo key.
+    """
     value: Union[str, int, float, None]
+
+    def __eq__(self, other):
+        if not isinstance(other, Literal):
+            return NotImplemented
+        return _typed(self.value) == _typed(other.value)
+
+    def __hash__(self):
+        return hash(_typed(self.value))
 
 
 @dataclass(frozen=True)

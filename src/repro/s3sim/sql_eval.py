@@ -13,9 +13,24 @@ Semantics notes (kept deliberately close to the real service):
   or a ``CAST`` result), the other side is coerced to numeric;
   non-parseable cells become NULL and drop out of the result.
 * Empty CSV cells are NULL (``IS NULL``, skipped by aggregates).
+* ``CAST(x AS INT)`` rounds half away from zero, as DuckDB does:
+  ``CAST('2.5' AS INT)`` is 3 and ``CAST('-1.5' AS INT)`` is -2; a
+  non-numeric or empty ``x`` gives NULL. Results are float-backed,
+  exact below 2**53.
 * An aggregate query must be all-aggregates (no group-by exists, so a
   bare column next to ``SUM(...)`` is rejected) -- this is the
   restriction the paper's CASE-WHEN group-by works around.
+
+Each request evaluates every *distinct* subexpression once. The
+evaluator memoizes, per node, both the node's value and its numeric
+coercion, so the paper's wide queries cost what their distinct work
+costs: Q1's 36 ``SUM(CASE ...)`` columns share 6 conditions and 4
+``CAST``s, a hybrid group-by's ``g = v`` conditions share one
+``to_numeric(g)``, and a Bloom probe's k ``SUBSTRING`` hashes share one
+``CAST(key AS INT)`` and one character array of the bit-string literal.
+The memo is keyed by the AST nodes themselves, whose equality includes
+literal types (``c + 1`` and ``c + 1.0`` stay apart; see ``Literal``),
+and lives on the evaluator, i.e. for one request over one object only.
 """
 from __future__ import annotations
 
@@ -74,6 +89,14 @@ def _as_mask(v, index) -> pd.Series:
     return pd.Series(bool(v), index=index)
 
 
+def _round_half_away(n):
+    """Round half away from zero: 2.5 -> 3, -1.5 -> -2, -0.3 -> 0 (not -0)."""
+    a = np.abs(n)
+    r = np.floor(a)
+    r = r + (a - r >= 0.5)
+    return np.copysign(r, n) + 0.0
+
+
 def _like_to_regex(pattern: str) -> str:
     out = []
     for ch in pattern:
@@ -87,9 +110,14 @@ def _like_to_regex(pattern: str) -> str:
 
 
 class _Evaluator:
+    """Evaluates expressions over one frame, each distinct node once."""
+
     def __init__(self, df: pd.DataFrame):
         self.df = df
         self.colmap = {c.lower(): c for c in df.columns}
+        self._values: dict = {}   # node -> its value
+        self._numbers: dict = {}  # node -> its value coerced to numeric
+        self._chars: dict = {}    # string literal -> its character array
 
     def col(self, name: str) -> pd.Series:
         actual = self.colmap.get(name.lower())
@@ -102,10 +130,23 @@ class _Evaluator:
     # -- expression dispatch ---------------------------------------------
 
     def eval(self, e):
+        try:
+            return self._values[e]
+        except KeyError:
+            pass
         method = getattr(self, "_eval_" + type(e).__name__.lower(), None)
         if method is None:
             raise SqlEvalError(f"cannot evaluate node {type(e).__name__}")
-        return method(e)
+        v = self._values[e] = method(e)
+        return v
+
+    def num(self, e):
+        """``eval(e)`` coerced to numeric (memoized like ``eval``)."""
+        try:
+            return self._numbers[e]
+        except KeyError:
+            v = self._numbers[e] = _to_numeric(self.eval(e))
+            return v
 
     def _eval_literal(self, e: Literal):
         return e.value
@@ -114,10 +155,9 @@ class _Evaluator:
         return self.col(e.name)
 
     def _eval_unaryop(self, e: UnaryOp):
-        v = self.eval(e.operand)
         if e.op == "NOT":
-            return ~_as_mask(v, self.df.index)
-        v = _to_numeric(v)
+            return ~_as_mask(self.eval(e.operand), self.df.index)
+        v = self.num(e.operand)
         return -v if e.op == "-" else v
 
     def _eval_binop(self, e: BinOp):
@@ -125,9 +165,8 @@ class _Evaluator:
             lm = _as_mask(self.eval(e.left), self.df.index)
             rm = _as_mask(self.eval(e.right), self.df.index)
             return (lm & rm) if e.op == "AND" else (lm | rm)
-        left, right = self.eval(e.left), self.eval(e.right)
         if e.op in ("+", "-", "*", "/", "%"):
-            left, right = _to_numeric(left), _to_numeric(right)
+            left, right = self.num(e.left), self.num(e.right)
             if e.op == "+":
                 return left + right
             if e.op == "-":
@@ -138,8 +177,9 @@ class _Evaluator:
                 return left / right
             return left % right  # SQL MOD via '%', used by the Bloom hash
         # comparison: numeric if either side is numeric, else lexicographic
+        left, right = self.eval(e.left), self.eval(e.right)
         if _is_numeric(left) or _is_numeric(right):
-            left, right = _to_numeric(left), _to_numeric(right)
+            left, right = self.num(e.left), self.num(e.right)
         nulls = _null_mask(left, self.df.index) | _null_mask(right, self.df.index)
         ops = {
             "=": lambda a, b: a == b,
@@ -155,14 +195,16 @@ class _Evaluator:
         return _as_mask(res, self.df.index) & ~nulls
 
     def _eval_cast(self, e: Cast):
-        v = self.eval(e.expr)
         if e.type in ("INT", "INTEGER", "BIGINT"):
-            n = _to_numeric(v)
+            n = self.num(e.expr)
             if isinstance(n, pd.Series):
-                return np.floor(n)  # float-backed ints; exact below 2**53
-            return None if n is None else int(n)
+                return _round_half_away(n)
+            if n is None or np.isnan(n):
+                return None
+            return int(_round_half_away(n))
         if e.type in ("FLOAT", "DOUBLE", "DECIMAL", "NUMERIC"):
-            return _to_numeric(v)
+            return self.num(e.expr)
+        v = self.eval(e.expr)
         if e.type in ("STRING", "CHAR", "VARCHAR", "TIMESTAMP"):
             if isinstance(v, pd.Series):
                 return v.astype(str)
@@ -170,6 +212,15 @@ class _Evaluator:
         if e.type == "BOOL":
             return _as_mask(v, self.df.index)
         raise SqlEvalError(f"unsupported CAST type {e.type!r}")
+
+    def _char_array(self, s: str) -> np.ndarray:
+        """``s`` as a ``<U1`` array, built once per distinct literal."""
+        chars = self._chars.get(s)
+        if chars is None:
+            chars = self._chars[s] = np.frombuffer(
+                s.encode("utf-32-le"), dtype="<U1"
+            )
+        return chars
 
     def _eval_substring(self, e: Substring):
         s = self.eval(e.expr)
@@ -182,9 +233,8 @@ class _Evaluator:
             and isinstance(start, pd.Series)
             and (length == 1 or length is None)
         ):
-            chars = np.array(list(s))
-            pos = _to_numeric(start)
-            idx = pos.to_numpy(dtype="float64")
+            chars = self._char_array(s)
+            idx = self.num(e.start).to_numpy(dtype="float64")
             valid = np.isfinite(idx) & (idx >= 1) & (idx <= len(chars))
             safe = np.where(valid, idx - 1, 0).astype(np.int64)
             if length == 1:
@@ -195,7 +245,7 @@ class _Evaluator:
                 )
             return pd.Series(out, index=start.index)
         if isinstance(s, pd.Series):
-            start_n = _to_numeric(start)
+            start_n = self.num(e.start)
             if isinstance(start_n, pd.Series):
                 start_n = start_n.astype(int)
                 starts = start_n
@@ -205,7 +255,7 @@ class _Evaluator:
                 return pd.Series(
                     [str(v)[max(p - 1, 0):] for v, p in zip(s, starts)], index=s.index
                 )
-            len_n = _to_numeric(length)
+            len_n = self.num(e.length)
             lens = (
                 len_n.astype(int)
                 if isinstance(len_n, pd.Series)
@@ -217,27 +267,22 @@ class _Evaluator:
                 index=s.index,
             )
         # scalar string, scalar positions
-        p = int(_to_numeric(start))
+        p = int(self.num(e.start))
         if length is None:
             return str(s)[max(p - 1, 0):]
-        return str(s)[max(p - 1, 0): max(p - 1, 0) + int(_to_numeric(length))]
+        return str(s)[max(p - 1, 0): max(p - 1, 0) + int(self.num(e.length))]
 
     def _eval_case(self, e: Case):
-        conds = [_as_mask(self.eval(c), self.df.index) for c, _ in e.whens]
-        vals = [self.eval(v) for _, v in e.whens]
-        else_v = 0 if e.else_ is None else self.eval(e.else_)
-        numeric = all(
-            _is_numeric(v) or v is None for v in vals + [else_v]
-        )
-        def prep(v):
-            if numeric:
-                v = _to_numeric(v)
-            if isinstance(v, pd.Series):
-                return v.to_numpy()
-            return v
-        out = np.select(
-            [c.to_numpy() for c in conds], [prep(v) for v in vals], prep(else_v)
-        )
+        conds = [
+            _as_mask(self.eval(c), self.df.index).to_numpy() for c, _ in e.whens
+        ]
+        nodes = [v for _, v in e.whens]
+        nodes.append(Literal(0) if e.else_ is None else e.else_)
+        vals = [self.eval(v) for v in nodes]
+        if all(_is_numeric(v) or v is None for v in vals):
+            vals = [self.num(v) for v in nodes]
+        vals = [v.to_numpy() if isinstance(v, pd.Series) else v for v in vals]
+        out = np.select(conds, vals[:-1], vals[-1])
         return pd.Series(out, index=self.df.index)
 
     def _eval_isnull(self, e: IsNull):
@@ -279,7 +324,7 @@ class _Evaluator:
         if e.name == "LOWER":
             return v.str.lower() if isinstance(v, pd.Series) else str(v).lower()
         if e.name == "ABS":
-            n = _to_numeric(v)
+            n = self.num(e.args[0])
             return n.abs() if isinstance(n, pd.Series) else abs(n)
         raise SqlEvalError(f"unsupported function {e.name}")
 
@@ -289,12 +334,13 @@ class _Evaluator:
         if contains_aggregate(e.args[0]):
             raise SqlEvalError("nested aggregates are not supported")
         v = self.eval(e.args[0])
-        if not isinstance(v, pd.Series):
+        scalar = not isinstance(v, pd.Series)
+        if scalar:
             v = pd.Series(v, index=self.df.index)
         if e.name == "COUNT":
             return int((~_null_mask(v, self.df.index)).sum())
         if e.name in ("SUM", "AVG"):
-            n = _to_numeric(v)
+            n = _to_numeric(v) if scalar else self.num(e.args[0])
             if len(n) == 0 or n.isna().all():
                 return None  # SQL: SUM/AVG over no rows is NULL
             return float(n.sum()) if e.name == "SUM" else float(n.mean())

@@ -73,12 +73,66 @@ def test_parse_rows_empty():
 
 
 def test_values_with_commas_quoted():
-    df = pd.DataFrame({"a": ["x,y", "z"]})
+    df = pd.DataFrame({"a": ["x,y", 'say "hi"', "two\nlines", "z"], "b": list("1234")})
     out = csvio.from_csv_bytes(csvio.to_csv_bytes(df))
-    assert out["a"].tolist() == ["x,y", "z"]
+    assert out["a"].tolist() == ["x,y", 'say "hi"', "two\nlines", "z"]
+    assert out["b"].tolist() == ["1", "2", "3", "4"]
 
 
 def test_float_rendering_stable():
     df = pd.DataFrame({"v": [0.5, 1.25]})
     out = csvio.from_csv_bytes(csvio.to_csv_bytes(df))
     assert out["v"].tolist() == ["0.5", "1.25"]
+
+
+# -- decoder contract: S3 Select CSV fields are untyped strings ------------
+
+def test_null_like_tokens_stay_literal():
+    data = b"a,b\nNA,null\nNaN,N/A\n"
+    out = csvio.from_csv_bytes(data)
+    assert out["a"].tolist() == ["NA", "NaN"]
+    assert out["b"].tolist() == ["null", "N/A"]
+
+
+def test_leading_zeros_and_spaces_kept():
+    data = b"a,b\n007, x \n-0.50,  \n"
+    out = csvio.from_csv_bytes(data)
+    assert out["a"].tolist() == ["007", "-0.50"]
+    assert out["b"].tolist() == [" x ", "  "]
+
+
+def test_quoted_empty_cell_is_empty_string():
+    out = csvio.from_csv_bytes(b'a,b\n"",x\n,""\n')
+    assert out["a"].tolist() == ["", ""]
+    assert out["b"].tolist() == ["x", ""]
+
+
+def test_header_only_object_has_columns_and_no_rows():
+    out = csvio.from_csv_bytes(b"a,b,c\n")
+    assert list(out.columns) == ["a", "b", "c"]
+    assert len(out) == 0
+
+
+def test_every_column_is_str():
+    data = b"i,f,s,e\n1,2.5,x,\n3,-0.0,y,NA\n"
+    for out in (
+        csvio.from_csv_bytes(data),
+        csvio.parse_rows(data.split(b"\n", 1)[1], ["i", "f", "s", "e"]),
+    ):
+        assert all(out[c].dtype == object for c in out.columns)
+        assert all(isinstance(v, str) for c in out.columns for v in out[c])
+        assert out["f"].tolist() == ["2.5", "-0.0"]
+        assert out["e"].tolist() == ["", "NA"]
+
+
+def test_select_keeps_named_columns_case_insensitively():
+    data = b"Aa,b,c\n1,x,p\n2,y,q\n"
+    out = csvio.from_csv_bytes(data, select=["c", "aa"])
+    assert list(out.columns) == ["c", "Aa"]
+    assert out["Aa"].tolist() == ["1", "2"]
+
+
+def test_select_unknown_or_empty_keeps_every_column():
+    data = b"a,b\n1,x\n"
+    assert list(csvio.from_csv_bytes(data, select=["a", "nope"]).columns) == ["a", "b"]
+    assert list(csvio.from_csv_bytes(data, select=[]).columns) == ["a", "b"]

@@ -9,6 +9,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.bloom import build_from_keys
+from repro.s3sim import sql_eval
+from repro.s3sim.csvio import to_csv_bytes
 from repro.s3sim.sql_eval import SqlEvalError, eval_query
 from repro.s3sim.sql_parser import parse
 
@@ -343,3 +346,209 @@ def test_large_frame_vectorized_substring_speed():
         df,
     )
     assert 0 < len(out) < n
+
+
+# -- per-request memo: shared subexpressions are evaluated once -------------
+#
+# The reference needs no second evaluator: a single-item query shares
+# nothing, so a multi-item query must equal the concatenation of its
+# items run one at a time -- values, dtypes and CSV rendering alike.
+
+def _generated(seed: int, n: int = 400) -> pd.DataFrame:
+    """A lineitem-like all-string frame with empty and junk cells."""
+    g = np.random.default_rng(seed)
+
+    def dirty(vals):
+        vals = np.asarray(vals, dtype=object)
+        r = g.random(len(vals))
+        vals[r < 0.05] = ""
+        vals[(r >= 0.05) & (r < 0.07)] = "n/a"
+        return vals
+
+    days = pd.to_datetime(g.integers(8000, 10500, n), unit="D")
+    return pd.DataFrame(
+        {
+            "k": g.integers(1, 5000, n).astype(str),
+            "l_quantity": dirty(g.integers(1, 51, n).astype(str)),
+            "l_extendedprice": dirty((g.random(n) * 90000).round(2).astype(str)),
+            "l_discount": dirty((g.random(n) * 0.1).round(2).astype(str)),
+            "l_tax": dirty((g.random(n) * 0.08).round(2).astype(str)),
+            "l_returnflag": g.choice(list("ANR"), n).astype(object),
+            "l_linestatus": g.choice(list("OF"), n).astype(object),
+            "l_shipdate": days.strftime("%Y-%m-%d").to_numpy(dtype=object),
+            "g1": dirty((g.zipf(1.5, n) % 12).astype(str)),
+            "v1": dirty(g.random(n).round(6).astype(str)),
+            "v2": dirty(g.integers(0, 100, n).astype(str)),
+        }
+    )
+
+
+def _q1_items() -> list:
+    sums = {
+        "qty": "CAST(l_quantity AS FLOAT)",
+        "base": "CAST(l_extendedprice AS FLOAT)",
+        "disc_price": (
+            "CAST(l_extendedprice AS FLOAT) * (1 - CAST(l_discount AS FLOAT))"
+        ),
+        "charge": (
+            "CAST(l_extendedprice AS FLOAT) * (1 - CAST(l_discount AS FLOAT))"
+            " * (1 + CAST(l_tax AS FLOAT))"
+        ),
+        "disc": "CAST(l_discount AS FLOAT)",
+        "cnt": "1",
+    }
+    combos = [(rf, ls) for rf in "ANR" for ls in "FO"]
+    return [
+        f"SUM(CASE WHEN l_returnflag = '{rf}' AND l_linestatus = '{ls}' "
+        f"THEN {expr} ELSE 0 END) AS {name}_{gi}"
+        for gi, (rf, ls) in enumerate(combos)
+        for name, expr in sums.items()
+    ]
+
+
+def _bloom_items() -> list:
+    bf = build_from_keys(np.arange(1, 5000, 3), 0.05, seed=2)
+    probes = bf.to_predicate("k").split(" AND ")
+    return ["k", "CAST(k AS INT) AS ik"] + [
+        p.removesuffix(" = '1'") + f" AS p{i}" for i, p in enumerate(probes)
+    ]
+
+
+_MULTI_ITEM = {
+    "q1": (_q1_items(), "l_shipdate <= '1998-09-02'"),
+    "q6": (
+        [
+            "SUM(CAST(l_extendedprice AS FLOAT) * CAST(l_discount AS FLOAT)) AS rev",
+            "SUM(CAST(l_extendedprice AS FLOAT)) AS price",
+            "COUNT(l_discount) AS n",
+            "AVG(CAST(l_discount AS FLOAT)) AS d",
+            "MIN(l_shipdate) AS lo",
+        ],
+        "l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'"
+        " AND CAST(l_discount AS FLOAT) BETWEEN 0.05 AND 0.07"
+        " AND CAST(l_quantity AS FLOAT) < 24",
+    ),
+    "bloom": (_bloom_items(), "l_shipdate > '1995-03-15'"),
+    "hybrid": (
+        [
+            f"SUM(CASE WHEN g1 = {g} THEN CAST(v{j} AS FLOAT) ELSE 0 END) AS s_{g}_{j}"
+            for g in range(1, 9)
+            for j in (1, 2)
+        ],
+        None,
+    ),
+    "projection": (
+        [
+            "l_quantity",
+            "CAST(l_quantity AS INT) + 1 AS a",
+            "CAST(l_quantity AS INT) + 1.0 AS b",
+            "CASE WHEN g1 IN (1, 2) THEN l_quantity ELSE 0 END AS c",
+            "CAST(l_extendedprice AS FLOAT) * (1 - CAST(l_discount AS FLOAT)) AS d",
+        ],
+        "g1 NOT IN (3, 4) AND l_tax IS NOT NULL",
+    ),
+}
+
+
+def _select(items, where) -> str:
+    sql = "SELECT " + ", ".join(items) + " FROM S3Object"
+    return sql if where is None else sql + " WHERE " + where
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(_MULTI_ITEM))
+def test_multi_item_equals_items_run_alone(kind, seed):
+    df = _generated(seed)
+    items, where = _MULTI_ITEM[kind]
+    got = run(_select(items, where), df)
+    alone = pd.concat(
+        [run(_select([it], where), df) for it in items], axis=1
+    )
+    alone.columns = got.columns
+    pd.testing.assert_frame_equal(got, alone)
+    assert to_csv_bytes(got, header=False) == to_csv_bytes(alone, header=False)
+    assert len(got) > 0
+
+
+def test_bloom_where_equals_probe_columns():
+    df = _generated(3)
+    items, _ = _MULTI_ITEM["bloom"]
+    probes = items[2:]
+    cols = run(_select(probes, None), df)
+    pred = " AND ".join(p.rsplit(" AS ", 1)[0] + " = '1'" for p in probes)
+    got = run(f"SELECT k FROM S3Object WHERE {pred}", df)
+    expected = df["k"][(cols == "1").all(axis=1)].tolist()
+    assert got["k"].tolist() == expected
+    assert 0 < len(expected) < len(df)
+
+
+def test_int_and_float_literals_are_not_shared():
+    df = pd.DataFrame({"c": ["1", "2"]})
+    out = run("SELECT c + 1, c + 1.0, c + 1 FROM S3Object", df)
+    assert out.dtypes.tolist() == [np.int64, np.float64, np.int64]
+    assert to_csv_bytes(out, header=False) == b"2,2.0,2\n3,3.0,3\n"
+
+
+@pytest.fixture()
+def coerced(monkeypatch):
+    """Names of the string columns the evaluator parses as numbers."""
+    names = []
+    real = sql_eval._to_numeric
+
+    def counting(v):
+        if isinstance(v, pd.Series) and v.dtype == object:
+            names.append(v.name)
+        return real(v)
+
+    monkeypatch.setattr(sql_eval, "_to_numeric", counting)
+    return names
+
+
+def test_q1_request_coerces_each_column_once(coerced):
+    items, where = _MULTI_ITEM["q1"]
+    assert len(items) == 36
+    run(_select(items, where), _generated(0))
+    assert sorted(coerced) == [
+        "l_discount", "l_extendedprice", "l_quantity", "l_tax"
+    ]
+
+
+def test_hybrid_request_coerces_group_column_once(coerced):
+    items, where = _MULTI_ITEM["hybrid"]
+    run(_select(items, where), _generated(0))
+    assert sorted(coerced) == ["g1", "v1", "v2"]
+
+
+# -- CAST AS INT: round half away from zero, as DuckDB ---------------------
+
+def test_cast_int_rounds_half_away_from_zero():
+    df = pd.DataFrame({"x": ["2.5", "-1.5", "", "-0.3", "0.49", "7"]})
+    out = run("SELECT CAST(x AS INT) AS i FROM S3Object", df)["i"]
+    assert out.tolist()[:2] == [3.0, -2.0]
+    assert np.isnan(out.iloc[2])  # '' is NULL
+    assert out.tolist()[3:] == [0.0, 0.0, 7.0]
+    assert str(out.iloc[3]) == "0.0"  # no negative zero
+
+
+def test_cast_int_scalar_literals():
+    df = pd.DataFrame({"x": ["1"]})
+    out = run(
+        "SELECT CAST('2.5' AS INT) AS a, CAST('-1.5' AS INT) AS b, "
+        "CAST('' AS INT) AS c FROM S3Object",
+        df,
+    )
+    assert out["a"].tolist() == [3]
+    assert out["b"].tolist() == [-2]
+    assert out["c"].isna().all()
+
+
+def test_cast_int_matches_duckdb():
+    con = duckdb.connect()
+    got = [
+        con.execute(f"SELECT CAST({v} AS INTEGER)").fetchone()[0]
+        for v in ("2.5", "-1.5", "0.5", "-0.5", "3.49")
+    ]
+    con.close()
+    df = pd.DataFrame({"x": ["2.5", "-1.5", "0.5", "-0.5", "3.49"]})
+    ours = run("SELECT CAST(x AS INT) AS i FROM S3Object", df)["i"].tolist()
+    assert ours == [float(v) for v in got]

@@ -63,3 +63,28 @@ def test_reference_sql_known_queries():
         assert "FROM" in tpch.reference_sql(q)
     with pytest.raises(KeyError):
         tpch.reference_sql("q99")
+
+
+def test_q17_empty_bloom_build_side(spark, tpch_tables, fresh_store):
+    """No Brand#23/MED BOX part: the plan returns DuckDB's NULL avg_yearly."""
+    from repro.core.tables import write_table
+
+    part = tpch_tables["part"].pdf
+    part = part[
+        ~((part["p_brand"] == "Brand#23") & (part["p_container"] == "MED BOX"))
+    ]
+    tables = {
+        "lineitem": write_table(
+            fresh_store, "lineitem", tpch_tables["lineitem"].pdf, n_partitions=4
+        ),
+        "part": write_table(fresh_store, "part", part, n_partitions=4),
+    }
+    r = tpch.run_optimized(spark, new_runner_for(fresh_store), tables, "q17")
+    assert [p.name for p in r.phases] == ["part", "lineitem"]
+    assert r.df["avg_yearly"].isna().all() and len(r.df) == 1
+    assert_equivalent(
+        spark.createDataFrame(r.df, schema="avg_yearly double"),
+        tpch.reference_sql("q17"),
+        lineitem=tables["lineitem"].pdf,
+        part=tables["part"].pdf,
+    )
