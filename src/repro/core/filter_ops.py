@@ -19,7 +19,7 @@ import pandas as pd
 from repro.core.runner import QueryResult, Runner
 from repro.core.tables import StoredTable, apply_schema
 from repro.datasource.s3select import read_table
-from repro.s3sim import csvio, s3_select
+from repro.s3sim import csvio, select_all
 from repro.s3sim.sql_parser import parse  # noqa: F401  (re-export convenience)
 
 
@@ -76,20 +76,17 @@ def s3_index_filter(
         raise ValueError(f"unsupported index predicate op {op!r}")
 
     # Phase 1: push the predicate to the index objects.
-    ranges: list[tuple[int, list[tuple[int, int]]]] = []
     with runner.phase("index-lookup", n_objects=len(table.keys)):
-        for i in range(len(table.keys)):
-            res = s3_select(
-                runner.store,
-                table.index_key(column, i),
-                f"SELECT _offset, _length FROM S3Object "
-                f"WHERE CAST({column} AS FLOAT) {op} {value!r}",
-            )
-            offs = [
-                (int(o), int(ln))
-                for o, ln in zip(res["_offset"], res["_length"])
-            ]
-            ranges.append((i, offs))
+        results = select_all(
+            runner.store,
+            [table.index_key(column, i) for i in range(len(table.keys))],
+            f"SELECT _offset, _length FROM S3Object "
+            f"WHERE CAST({column} AS FLOAT) {op} {value!r}",
+        )
+    ranges = [
+        (i, [(int(o), int(ln)) for o, ln in zip(res["_offset"], res["_length"])])
+        for i, res in enumerate(results)
+    ]
 
     # Phase 2: one ranged GET per qualifying row (single range per
     # request, as in the real S3 API).

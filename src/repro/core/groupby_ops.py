@@ -32,7 +32,7 @@ import pyspark.sql.functions as F
 from repro.core.runner import QueryResult, Runner
 from repro.core.tables import StoredTable
 from repro.datasource.s3select import read_table
-from repro.s3sim import s3_select
+from repro.s3sim import select_all
 
 # The paper's hybrid group-by samples "the first 1% of data".
 SAMPLE_FRACTION = 0.01
@@ -62,7 +62,7 @@ def _s3_case_aggregate(
 ) -> pd.DataFrame:
     """Run the CASE aggregation on every object and merge the partials."""
     sql = _case_sql(group_col, groups, value_cols)
-    partials = [s3_select(runner.store, k, sql) for k in table.keys]
+    partials = select_all(runner.store, table.keys, sql)
     total = pd.concat(partials, ignore_index=True).astype(float).sum()
     rows = []
     for g in groups:
@@ -132,13 +132,10 @@ def hybrid_groupby(
     # ordered by construction, so a prefix is a uniform sample).
     per_object = max(1, math.ceil(table.n_rows * SAMPLE_FRACTION / len(table.keys)))
     with runner.phase("sample", n_objects=len(table.keys)):
-        samples = [
-            s3_select(
-                runner.store, k,
-                f"SELECT {group_col} FROM S3Object LIMIT {per_object}",
-            )
-            for k in table.keys
-        ]
+        samples = select_all(
+            runner.store, table.keys,
+            f"SELECT {group_col} FROM S3Object LIMIT {per_object}",
+        )
     counts = (
         pd.concat(samples, ignore_index=True)[group_col].astype(int).value_counts()
     )

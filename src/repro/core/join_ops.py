@@ -11,7 +11,8 @@ The evaluation query is Listing 2::
 * ``baseline_join``  -- both tables fully loaded, hash join on the server.
 * ``filtered_join``  -- selections/projections pushed via S3 Select,
   join on the server; both scans can overlap (one phase).
-* ``bloom_join``     -- build side loaded with pushdown; a Bloom filter
+* ``bloom_join``     -- build side loaded with pushdown, straight into the
+  driver (``select_table``: it only feeds the filter); a Bloom filter
   over the build keys is rendered into the probe scan's S3 Select WHERE
   clause as a 0/1-string SUBSTRING predicate. If the predicate cannot
   fit S3's 256 KB SQL limit even after degrading the FPR, the algorithm
@@ -29,7 +30,7 @@ import pyspark.sql.functions as F
 
 from repro.core.bloom import fit_fpr_to_limit
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable
+from repro.core.tables import StoredTable, select_table
 from repro.datasource.s3select import read_table
 from repro.s3sim.select_engine import MAX_SQL_BYTES
 
@@ -124,9 +125,10 @@ def bloom_join(
     """Bloom join: probe-side scan is pre-filtered inside S3 Select."""
     # Build phase: load the (filtered, projected) small table.
     with runner.phase("build", n_objects=len(customer.keys)) as p:
-        c_pdf = read_table(
-            spark, runner.store.root, customer.name, columns=_BUILD_COLS
-        ).filter(F.col("c_acctbal") <= upper_c_acctbal).toPandas()
+        c_pdf = select_table(
+            runner.store, customer, _BUILD_COLS,
+            f"CAST(c_acctbal AS FLOAT) <= {float(upper_c_acctbal)!r}",
+        )
         p.hash_rows = len(c_pdf)
     build_keys = c_pdf["c_custkey"].to_numpy()
 

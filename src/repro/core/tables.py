@@ -22,7 +22,9 @@ import numpy as np
 import pandas as pd
 
 from repro.s3sim import csvio, parquetio
+from repro.s3sim.select_engine import select_all
 from repro.s3sim.store import ObjectStore
+from repro.schema import apply_schema
 
 
 @dataclass
@@ -71,22 +73,21 @@ def schema_ddl(pdf: pd.DataFrame) -> str:
     return ", ".join(parts)
 
 
-def apply_schema(pdf: pd.DataFrame, ddl: str) -> pd.DataFrame:
-    """Convert an all-string frame (CSV rows) to the table's DDL types."""
-    types = {}
-    for part in ddl.split(","):
-        name, typ = part.strip().split(" ", 1)
-        types[name.lower()] = typ.upper()
-    out = {}
-    for c in pdf.columns:
-        t = types.get(c.lower(), "STRING")
-        if t == "BIGINT":
-            out[c] = pd.to_numeric(pdf[c], errors="coerce").astype("int64")
-        elif t == "DOUBLE":
-            out[c] = pd.to_numeric(pdf[c], errors="coerce")
-        else:
-            out[c] = pdf[c].astype(str)
-    return pd.DataFrame(out)
+def select_table(
+    store: ObjectStore, table: StoredTable, columns: list, where: str | None = None
+) -> pd.DataFrame:
+    """``columns`` of ``table``'s rows matching ``where``, fetched by the driver.
+
+    One S3 Select request per object (``select_all``), typed by the
+    table's DDL: the rows, usage and dtypes of
+    ``read_table(spark, root, name, columns=columns).filter(where).toPandas()``
+    without a Spark job, for phases whose rows the driver itself consumes.
+    """
+    sql = f"SELECT {', '.join(columns)} FROM S3Object"
+    if where:
+        sql += f" WHERE {where}"
+    frames = select_all(store, table.keys, sql)
+    return apply_schema(pd.concat(frames, ignore_index=True), table.schema_ddl)
 
 
 def write_table(

@@ -26,7 +26,7 @@ import pandas as pd
 from repro.core.runner import QueryResult, Runner
 from repro.core.tables import StoredTable
 from repro.datasource.s3select import read_table
-from repro.s3sim import s3_select
+from repro.s3sim import select_all
 
 
 def alpha_fraction(table: StoredTable, order_col: str) -> float:
@@ -68,13 +68,10 @@ def sampling_topk(
     per_object = max(1, math.ceil(s / len(table.keys)))
 
     with runner.phase("sample", n_objects=len(table.keys)):
-        samples = [
-            s3_select(
-                runner.store, key,
-                f"SELECT {order_col} FROM S3Object LIMIT {per_object}",
-            )
-            for key in table.keys
-        ]
+        samples = select_all(
+            runner.store, table.keys,
+            f"SELECT {order_col} FROM S3Object LIMIT {per_object}",
+        )
     sampled = pd.concat(samples, ignore_index=True)[order_col].astype(float)
     threshold = float(sampled.nsmallest(k).iloc[-1])
 

@@ -11,6 +11,9 @@ For each query we provide:
   projection pushdown everywhere, full aggregate pushdown (Q6),
   CASE-encoded S3-side group-by (Q1), and Bloom-join pipelines
   (Q3/Q14/Q17/Q19), with the final exact joins/aggregates in Spark.
+  Phases whose rows only the driver reads -- aggregates and Bloom build
+  sides -- call S3 Select directly (``select_all``/``select_table``);
+  the probe side that feeds Spark's join goes through the DataSource.
 
 Queries are adapted to the TPC-H-lite schema (see DESIGN.md S7): the
 selection constants are TPC-H's; text columns we do not generate are
@@ -23,10 +26,10 @@ import pyspark.sql.functions as F
 
 from repro.core.bloom import fit_fpr_to_limit
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable
+from repro.core.tables import select_table
 from repro.datasource.s3select import read_table
-from repro.s3sim import s3_select
-from repro.s3sim.select_engine import MAX_SQL_BYTES
+from repro.s3sim.select_engine import MAX_SQL_BYTES, select_all
+from repro.schema import project_ddl
 
 QUERIES = ("q1", "q3", "q6", "q14", "q17", "q19")
 
@@ -199,7 +202,7 @@ def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
         n_objects=len(li.keys),
         case_columns=len(combos) * len(sums),
     ):
-        partials = [s3_select(runner.store, k, sql) for k in li.keys]
+        partials = select_all(runner.store, li.keys, sql)
     total = pd.concat(partials, ignore_index=True).astype(float).sum()
     rows = []
     for gi, (rf, ls) in enumerate(combos):
@@ -227,13 +230,9 @@ def _opt_q3(spark, runner: Runner, tables: dict) -> QueryResult:
     """customer -> bloom -> orders -> bloom -> lineitem pipeline."""
     c, o, li = tables["customer"], tables["orders"], tables["lineitem"]
     with runner.phase("customer", n_objects=len(c.keys)) as p:
-        c_pdf = (
-            read_table(
-                spark, runner.store.root, "customer",
-                columns=["c_custkey", "c_mktsegment"],
-            )
-            .filter("c_mktsegment = 'BUILDING'")
-            .toPandas()
+        c_pdf = select_table(
+            runner.store, c, ["c_custkey", "c_mktsegment"],
+            "c_mktsegment = 'BUILDING'",
         )
         p.hash_rows = len(c_pdf)
     bloom1 = _bloom_or_none(c_pdf["c_custkey"].to_numpy(), "o_custkey")
@@ -242,12 +241,14 @@ def _opt_q3(spark, runner: Runner, tables: dict) -> QueryResult:
         "orders", n_objects=len(o.keys),
         case_columns=0 if bloom1 is None else bloom1.k,
     ) as p:
-        o_df = read_table(
-            spark, runner.store.root, "orders",
-            columns=["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
-            where=None if bloom1 is None else bloom1.to_predicate("o_custkey"),
-        ).filter("o_orderdate < '1995-03-15'")
-        o_pdf = o_df.toPandas()
+        where = "o_orderdate < '1995-03-15'"
+        if bloom1 is not None:
+            where += " AND " + bloom1.to_predicate("o_custkey")
+        o_pdf = select_table(
+            runner.store, o,
+            ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
+            where,
+        )
         p.hash_rows = len(o_pdf) + len(c_pdf)
     matched = o_pdf[o_pdf["o_custkey"].isin(set(c_pdf["c_custkey"]))]
     bloom2 = _bloom_or_none(matched["o_orderkey"].to_numpy(), "l_orderkey", seed=1)
@@ -296,7 +297,7 @@ def _opt_q6(spark, runner: Runner, tables: dict) -> QueryResult:
         " AND CAST(l_quantity AS FLOAT) < 24"
     )
     with runner.phase("s3-aggregate", n_objects=len(li.keys)):
-        partials = [s3_select(runner.store, k, sql) for k in li.keys]
+        partials = select_all(runner.store, li.keys, sql)
     vals = [
         float(p["revenue"].iloc[0])
         for p in partials
@@ -310,12 +311,11 @@ def _opt_q14(spark, runner: Runner, tables: dict) -> QueryResult:
     """Date-filtered lineitem -> bloom -> part; CASE ratio in Spark."""
     li, pt = tables["lineitem"], tables["part"]
     with runner.phase("lineitem", n_objects=len(li.keys)) as p:
-        li_pdf = read_table(
-            spark, runner.store.root, "lineitem",
-            columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        ).filter(
-            "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'"
-        ).toPandas()
+        li_pdf = select_table(
+            runner.store, li,
+            ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+            "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'",
+        )
         p.hash_rows = len(li_pdf)
     bloom = _bloom_or_none(li_pdf["l_partkey"].unique(), "p_partkey")
 
@@ -343,11 +343,10 @@ def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
     """Filtered part -> bloom -> lineitem; correlated AVG in Spark."""
     li, pt = tables["lineitem"], tables["part"]
     with runner.phase("part", n_objects=len(pt.keys)) as p:
-        pt_df = read_table(
-            spark, runner.store.root, "part",
-            columns=["p_partkey", "p_brand", "p_container"],
-        ).filter("p_brand = 'Brand#23' AND p_container = 'MED BOX'")
-        pt_pdf = pt_df.toPandas()
+        pt_pdf = select_table(
+            runner.store, pt, ["p_partkey", "p_brand", "p_container"],
+            "p_brand = 'Brand#23' AND p_container = 'MED BOX'",
+        )
         p.hash_rows = len(pt_pdf)
     bloom = _bloom_or_none(pt_pdf["p_partkey"].to_numpy(), "l_partkey")
 
@@ -367,7 +366,8 @@ def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
         # infer a schema from no rows); the answer is then NULL.
         joined = li_df.join(
             spark.createDataFrame(
-                pt_pdf[["p_partkey"]], schema=pt_df.select("p_partkey").schema
+                pt_pdf[["p_partkey"]],
+                schema=project_ddl(pt.schema_ddl, ["p_partkey"]),
             ),
             li_df.l_partkey == F.col("p_partkey"),
         )
@@ -394,14 +394,14 @@ def _opt_q19(spark, runner: Runner, tables: dict) -> QueryResult:
         " AND CAST(l_quantity AS FLOAT) <= 30"
     )
     with runner.phase("lineitem", n_objects=len(li.keys)) as p:
-        li_pdf = read_table(
-            spark, runner.store.root, "lineitem",
-            columns=[
+        li_pdf = select_table(
+            runner.store, li,
+            [
                 "l_partkey", "l_quantity", "l_extendedprice", "l_discount",
                 "l_shipmode", "l_shipinstruct",
             ],
-            where=li_where,
-        ).toPandas()
+            li_where,
+        )
         p.hash_rows = len(li_pdf)
     bloom = _bloom_or_none(li_pdf["l_partkey"].unique(), "p_partkey")
 

@@ -35,6 +35,7 @@ from pyspark.sql.types import DoubleType, FloatType, IntegerType, LongType, Stru
 from repro.datasource.translate import split_filters
 from repro.s3sim.select_engine import s3_select
 from repro.s3sim.store import ObjectStore
+from repro.schema import project_ddl, typed_column
 
 _NUMERIC_TYPES = (LongType, IntegerType, DoubleType, FloatType)
 
@@ -48,19 +49,15 @@ class S3SelectDataSource(DataSource):
 
     def schema(self) -> str:
         store = ObjectStore(self.options["root"])
-        ddl = store.get_meta(f"{self.options['table']}/schema.ddl")
+        table = self.options["table"]
+        ddl = store.get_meta(f"{table}/schema.ddl")
         cols_opt = self.options.get("columns")
         if not cols_opt:
             return ddl
-        want = [c.strip().lower() for c in cols_opt.split(",")]
-        fields = {}
-        for part in ddl.split(","):
-            name, typ = part.strip().split(" ", 1)
-            fields[name.lower()] = f"{name} {typ}"
-        missing = [c for c in want if c not in fields]
-        if missing:
-            raise ValueError(f"columns not in {self.options['table']}: {missing}")
-        return ", ".join(fields[c] for c in want)
+        try:
+            return project_ddl(ddl, [c.strip() for c in cols_opt.split(",")])
+        except ValueError as e:
+            raise ValueError(f"table {table!r}: {e}") from None
 
     def reader(self, schema: StructType) -> "S3SelectReader":
         return S3SelectReader(schema, dict(self.options))
@@ -81,6 +78,7 @@ class S3SelectReader(DataSourceReader):
             for f in schema.fields
             if isinstance(f.dataType, _NUMERIC_TYPES)
         }
+        self.types = [(f.name, f.dataType.simpleString()) for f in schema.fields]
         self.pushed_sql: list[str] = []
 
     # -- Catalyst integration --------------------------------------------
@@ -129,22 +127,9 @@ class S3SelectReader(DataSourceReader):
             )
         if len(result) == 0:
             return
-        columns = []
-        for f in self.schema.fields:
-            s = result[f.name]
-            if isinstance(f.dataType, (LongType, IntegerType)):
-                import pandas as pd
-
-                columns.append(
-                    pd.to_numeric(s, errors="coerce").astype("int64").tolist()
-                )
-            elif isinstance(f.dataType, (DoubleType, FloatType)):
-                import pandas as pd
-
-                columns.append(pd.to_numeric(s, errors="coerce").tolist())
-            else:
-                columns.append(s.astype(str).tolist())
-        yield from zip(*columns)
+        yield from zip(*(
+            typed_column(result[name], typ).tolist() for name, typ in self.types
+        ))
 
 
 def ensure_registered(spark) -> None:

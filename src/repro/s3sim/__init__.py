@@ -20,13 +20,16 @@ Modules:
 """
 from repro.s3sim.store import ObjectStore
 from repro.s3sim.usage import Usage, UsageLog
-from repro.s3sim.select_engine import s3_select, S3SelectError, MAX_SQL_BYTES
+from repro.s3sim.select_engine import (
+    s3_select, select_all, S3SelectError, MAX_SQL_BYTES,
+)
 
 __all__ = [
     "ObjectStore",
     "Usage",
     "UsageLog",
     "s3_select",
+    "select_all",
     "S3SelectError",
     "MAX_SQL_BYTES",
 ]

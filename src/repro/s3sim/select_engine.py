@@ -14,6 +14,10 @@ query, and records usage:
 The 256 KB SQL expression limit of the real service is enforced; the
 paper's Bloom join relies on detecting this limit to degrade its false
 positive rate (SV-A.2).
+
+``select_all(store, keys, sql)`` is how the driver sends requests
+itself: the same query on each object, serially, in key order. Spark's
+workers reach ``s3_select`` through the ``s3select`` DataSource instead.
 """
 from __future__ import annotations
 
@@ -85,3 +89,12 @@ def s3_select(
         select_requests=1, bytes_scanned=scanned, bytes_returned=returned
     )
     return result
+
+
+def select_all(store: ObjectStore, keys: list, sql: str) -> list[pd.DataFrame]:
+    """Run ``sql`` on each object of ``keys``: one frame per key, in key order.
+
+    The driver's one request path to storage. Requests run serially,
+    one after another, and nothing is cached between them.
+    """
+    return [s3_select(store, key, sql) for key in keys]

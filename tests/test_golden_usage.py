@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import filter_ops, groupby_ops, topk_ops, tpch
+from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
 from tests.conftest import new_runner_for
 
 GOLDEN = Path(__file__).with_name("golden_usage.json")
@@ -75,3 +75,27 @@ def test_s3_index_filter_usage(spark, store, filter_table):
         spark, new_runner_for(store), filter_table, "u", "<", 0.01
     )
     _check("s3_index_filter", r)
+
+
+@pytest.mark.parametrize(
+    "case,acctbal,date,fpr",
+    [
+        ("bloom_join", -450, "1995-01-01", 0.01),
+        ("bloom_join_fpr0.3", -450, None, 0.3),
+        ("bloom_join_empty_build", -10_000, None, 0.01),
+    ],
+)
+def test_bloom_join_usage(spark, store, tpch_tables, case, acctbal, date, fpr):
+    r = join_ops.bloom_join(
+        spark, new_runner_for(store), tpch_tables["customer"],
+        tpch_tables["orders"], acctbal, date, fpr=fpr,
+    )
+    _check(case, r)
+
+
+def test_filtered_join_usage(spark, store, tpch_tables):
+    r = join_ops.filtered_join(
+        spark, new_runner_for(store), tpch_tables["customer"],
+        tpch_tables["orders"], -450, "1995-01-01",
+    )
+    _check("filtered_join", r)
