@@ -1,26 +1,14 @@
 """Benchmark fixtures: one shared store at benchmark scale (SF~=0.1).
 
-``REPRO_BENCH_SF`` (default 0.1) and ``REPRO_BENCH_ROWS`` (default
-1,000,000 for the 10GB-equivalent synthetic tables) control scale.
-Tables persist in one session-scoped store so figures share them.
-
-Each benchmark runs its figure sweep once under pytest-benchmark
-(pedantic, 1 round -- a sweep is minutes, not microseconds), prints the
-paper-vs-measured table, asserts the figure's headline shape, and saves
-the rows under ``benchmarks/results/`` for EXPERIMENTS.md.
+Tables persist in one session-scoped store so figures share them; set
+``REPRO_BENCH_STORE`` to keep that store in a fixed directory across
+runs. Scale and the per-figure test live in ``bench_figures.py``.
 """
-import json
 import os
-import pathlib
 
 import pytest
 
-from repro.experiments import common
 from repro.s3sim import ObjectStore
-
-BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.1"))
-BENCH_ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "1000000"))
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
@@ -29,13 +17,3 @@ def bench_store(tmp_path_factory) -> ObjectStore:
     if root:
         return ObjectStore(root)
     return ObjectStore(tmp_path_factory.mktemp("bench-store"))
-
-
-def record(name: str, title: str, rows: list, paper_rows: list, headline: dict) -> None:
-    """Print the figure table and persist it for EXPERIMENTS.md."""
-    common.print_experiment(title, rows, paper_rows)
-    print("\nheadline:", headline)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(
-        json.dumps({"rows": rows, "headline": headline}, indent=1, default=str)
-    )

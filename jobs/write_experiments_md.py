@@ -7,91 +7,15 @@ Run after ``pytest benchmarks/ --benchmark-only``:
 Each figure section records the paper's numbers (read off its plots,
 so approximate) next to our measured rows projected to the paper's
 10 GB scale, plus the headline shape checks computed from the measured
-rows. Narrative lives here; numbers come from the result files.
+rows. Titles, columns and narrative come from the figure registry
+(``repro.experiments.FIGURES``); numbers come from the result files.
 """
 import json
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
-
-FIGS = [
-    ("fig1_filter", "Figure 1 — Filter algorithms vs selectivity",
-     ["selectivity", "algo", "runtime_s_10gb", "cost_usd_10gb",
-      "cost_compute_10gb", "cost_scan_10gb", "requests"],
-     "Paper: S3-side filter ~10x faster than server-side (stable in\n"
-     "selectivity) at ~24% higher cost; indexing matches S3-side only below\n"
-     "~1e-4 selectivity and collapses beyond it under per-row GETs; at high\n"
-     "selectivity indexing is ~2.7x cheaper than server-side.\n"
-     "Ours: same ordering and crossover (the absolute crossover selectivity\n"
-     "shifts with row count, as it is a request-budget effect)."),
-    ("fig2_join_customer", "Figure 2 — Join vs customer selectivity",
-     ["upper_c_acctbal", "algo", "runtime_s_10gb", "cost_usd_10gb", "bytes_returned"],
-     "Paper: baseline ~= filtered (both ship all orders rows); Bloom join\n"
-     "much faster at a selective build side, degrading as selectivity drops;\n"
-     "Bloom's cost edge smaller than its runtime edge. Ours matches; at our\n"
-     "scale the degradation shows up first in returned bytes (runtime sits\n"
-     "on the scan-bound plateau longer than in the paper)."),
-    ("fig3_join_orders", "Figure 3 — Join vs orders selectivity",
-     ["upper_o_orderdate", "algo", "runtime_s_10gb", "cost_usd_10gb"],
-     "Paper: filtered join wins while the date predicate is selective and\n"
-     "converges to baseline at None; Bloom join stays fast and flat; Bloom\n"
-     "cost comparable or cheaper. Ours matches on all three claims."),
-    ("fig4_bloom_fpr", "Figure 4 — Bloom join vs false-positive rate",
-     ["fpr", "algo", "runtime_s_10gb", "cost_usd_10gb", "bytes_returned"],
-     "Paper: best runtime and cost at FPR=0.01 -- lower rates inflate the\n"
-     "0/1-string predicate (S3-side compute), higher rates return more\n"
-     "false-positive rows. Ours: U-shape present; the minimum sits in the\n"
-     "same 0.001-0.1 band."),
-    ("fig5_groupby_uniform", "Figure 5 — Group-by vs number of groups",
-     ["n_groups", "algo", "runtime_s_10gb", "cost_usd_10gb"],
-     "Paper: server-side and filtered flat in group count, filtered 1.64x\n"
-     "faster (ships 4+1 of 20 columns); S3-side 4.1x faster than filtered at\n"
-     "2 groups, degrading as CASE columns grow; costs close until ~8 groups.\n"
-     "Ours: filtered/server ratio ~1.6x (matches); S3-side wins at 2 groups\n"
-     "by a smaller factor (~1.5-2x) and degrades past filtered by 32 groups\n"
-     "(crossover matches)."),
-    ("fig6_hybrid_split", "Figure 6 — Hybrid group-by S3/server split",
-     ["n_pushed", "runtime_s_10gb", "s3_agg_s_10gb", "server_agg_s_10gb",
-      "tail_bytes_returned"],
-     "Paper: pushing more groups to S3 raises S3-side aggregation time and\n"
-     "shrinks returned bytes; runtime = max(two concurrent parts); sweet\n"
-     "spot at 6-8 pushed groups. Ours reproduces the two opposing curves\n"
-     "and a sweet spot at a non-zero split."),
-    ("fig7_groupby_skew", "Figure 7 — Group-by vs data skew",
-     ["theta", "algo", "runtime_s_10gb", "cost_usd_10gb"],
-     "Paper: server-side/filtered flat across skew; hybrid 31% faster than\n"
-     "filtered at theta=1.3; hybrid not cheaper (extra sampling scan).\n"
-     "Ours matches all three (hybrid's win at theta=1.3 is of the same\n"
-     "tens-of-percent order)."),
-    ("fig8_topk_sample", "Figure 8 — Sampling top-K vs sample size",
-     ["sample_size", "runtime_s_10gb", "sample_s_10gb", "scan_s_10gb",
-      "bytes_returned"],
-     "Paper: phase-1 time grows with S, phase-2 time shrinks, returned\n"
-     "bytes minimized near S* = sqrt(KN/alpha) (~2.4e5 at N=6e7); stable in\n"
-     "a wide band. Ours: same two curves; the measured best S brackets our\n"
-     "model's S* (scaled to our N)."),
-    ("fig9_topk_k", "Figure 9 — Top-K vs K",
-     ["k", "algo", "runtime_s_10gb", "cost_usd_10gb"],
-     "Paper: both algorithms slow as K grows; sampling top-K consistently\n"
-     "faster and cheaper. Ours matches on every K."),
-    ("fig10_tpch", "Figure 10 — Suite: baseline vs optimized PushdownDB",
-     ["query", "config", "runtime_s_10gb", "cost_usd_10gb",
-      "cost_scan_10gb", "cost_compute_10gb"],
-     "Paper: optimized PushdownDB 6.7x faster and 30% cheaper on geo-mean\n"
-     "across operator micro-queries + TPC-H queries; baseline within 2x of\n"
-     "Presto (sanity). Ours: optimized wins every query; geo-mean factors\n"
-     "below. Our baseline's compute engine is Spark SQL itself -- a mature\n"
-     "engine playing the Presto role by construction -- while baseline\n"
-     "*timing* is modeled with the paper's Python-stack rates (DESIGN S6)."),
-    ("fig11_parquet", "Figure 11 — CSV vs Parquet",
-     ["n_cols", "selectivity", "fmt", "runtime_s_10gb", "bytes_scanned",
-      "bytes_returned"],
-     "Paper: Parquet substantially beats CSV on 10/20-column tables under\n"
-     "selective filters (column-chunk scan), the advantage fading as\n"
-     "selectivity -> 1 because responses are CSV either way; 1-column\n"
-     "tables are a wash. Ours matches all three effects."),
-]
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -151,12 +75,16 @@ def fmt_table(rows, cols):
     return "\n".join(out)
 
 
-def main() -> None:
+def render() -> str:
+    """EXPERIMENTS.md's text for the current registry and result files."""
+    sys.path.insert(0, str(ROOT / "src"))  # the registry of this checkout
+    from repro.experiments import FIGURES
+
     parts = [HEADER]
-    for name, title, cols, narrative in FIGS:
-        path = RESULTS / f"{name}.json"
-        parts.append(f"\n## {title}\n")
-        parts.append(narrative + "\n")
+    for fig in FIGURES:
+        path = RESULTS / f"{fig.name}.json"
+        parts.append(f"\n## {fig.title}\n")
+        parts.append(fig.narrative + "\n")
         if not path.exists():
             parts.append("*(no result file -- run the benchmarks first)*\n")
             continue
@@ -166,8 +94,12 @@ def main() -> None:
             "```\n" + json.dumps(data["headline"], indent=1) + "\n```\n"
         )
         parts.append("Measured rows (projected to 10 GB):\n")
-        parts.append(fmt_table(data["rows"], cols) + "\n")
-    (ROOT / "EXPERIMENTS.md").write_text("\n".join(parts))
+        parts.append(fmt_table(data["rows"], fig.columns) + "\n")
+    return "\n".join(parts)
+
+
+def main() -> None:
+    (ROOT / "EXPERIMENTS.md").write_text(render())
     print(f"wrote {ROOT / 'EXPERIMENTS.md'}")
 
 

@@ -144,8 +144,11 @@ def run_baseline(spark, runner: Runner, tables: dict, q: str) -> QueryResult:
     ) as p:
         p.hash_rows = sum(tables[n].n_rows for n in names)
         for n in names:
-            pdf = read_table(spark, runner.store.root, n, pushdown=False).toPandas()
-            spark.createDataFrame(pdf).createOrReplaceTempView(n)
+            # Eager: each table is read once, here, however often the
+            # query references it.
+            read_table(
+                spark, runner.store.root, n, pushdown=False
+            ).localCheckpoint().createOrReplaceTempView(n)
     with runner.phase("compute") as p:
         p.hash_rows = sum(tables[n].n_rows for n in names)
         out = spark.sql(_REFERENCE_SQL[q]).toPandas()
