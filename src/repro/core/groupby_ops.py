@@ -14,8 +14,9 @@ by one group column of the synthetic 10+10-column table::
   into S3 Select, so only #groups x #aggregates numbers return.
 * ``hybrid_groupby``      -- phase 1 samples the first 1% of rows to
   spot populous groups; large groups are aggregated S3-side (Q1), the
-  tail is loaded with ``g NOT IN (...)`` and aggregated by Spark (Q2);
-  Q1 and Q2 run concurrently (Fig 6: runtime is the max of the two).
+  tail is fetched by the driver with ``g NOT IN (...)`` and aggregated
+  by Spark (Q2); Q1 and Q2 run concurrently (Fig 6: runtime is the max
+  of the two).
 
 S3 Select has no GROUP BY -- the parser in ``s3sim`` rejects it -- so
 the CASE-WHEN encoding is a faithful reproduction of the paper's
@@ -30,7 +31,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable
+from repro.core.tables import StoredTable, select_table, to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim import select_all
 
@@ -157,20 +158,17 @@ def hybrid_groupby(
     with runner.phase(
         "server-aggregate", n_objects=len(table.keys), parallel_group="phase2"
     ) as p:
-        tail_rows = int((~table.pdf[group_col].isin(pushed)).sum())
-        p.agg_rows = tail_rows
         where = None
         if pushed:
             items = ", ".join(f"'{g}'" for g in pushed)
             where = f"{group_col} NOT IN ({items})"
-        df = read_table(
-            spark,
-            runner.store.root,
-            table.name,
-            columns=[group_col] + value_cols,
-            where=where,
+        tail_pdf = select_table(
+            runner.store, table, [group_col] + value_cols, where
         )
-        tail = _spark_groupby(df, group_col, value_cols).toPandas()
+        p.agg_rows = len(tail_pdf)
+        tail = _spark_groupby(
+            to_spark(spark, table, tail_pdf), group_col, value_cols
+        ).toPandas()
         if len(tail):
             results.append(tail)
     out = (

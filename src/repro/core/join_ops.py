@@ -12,25 +12,25 @@ The evaluation query is Listing 2::
 * ``filtered_join``  -- selections/projections pushed via S3 Select,
   join on the server; both scans can overlap (one phase).
 * ``bloom_join``     -- build side loaded with pushdown, straight into the
-  driver (``select_table``: it only feeds the filter); a Bloom filter
-  over the build keys is rendered into the probe scan's S3 Select WHERE
-  clause as a 0/1-string SUBSTRING predicate. If the predicate cannot
-  fit S3's 256 KB SQL limit even after degrading the FPR, the algorithm
-  falls back to a *serial* filtered join (build already happened), as
-  described in SV-B.1.
+  driver (``select_table``); a Bloom filter over the build keys is
+  rendered as a 0/1-string SUBSTRING predicate and ANDed with the date
+  predicate into one S3 Select WHERE clause, which the driver sends for
+  the probe scan too. If the predicate cannot fit S3's 256 KB SQL limit
+  even after degrading the FPR, the algorithm falls back to a *serial*
+  filtered probe (build already happened), as described in SV-B.1.
 
-The final hash join runs in Spark (Catalyst) on the reduced inputs, so
-Bloom false positives are eliminated and results stay exact.
+The final hash join runs in Spark (Catalyst) on the reduced inputs
+(``to_spark``), so Bloom false positives are eliminated and results stay
+exact; the probe's ``hash_rows`` is the number of rows it received.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 
 from repro.core.bloom import fit_fpr_to_limit
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable, select_table
+from repro.core.tables import StoredTable, select_table, to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim.select_engine import MAX_SQL_BYTES
 
@@ -52,16 +52,11 @@ def _date_pred(upper_o_orderdate: str | None) -> str | None:
     return f"o_orderdate < '{upper_o_orderdate}'"
 
 
-def _probe_rows(
-    orders: StoredTable, upper_o_orderdate: str | None, keys=None, bloom=None
-) -> int:
+def _probe_rows(orders: StoredTable, upper_o_orderdate: str | None) -> int:
     """Exact count of probe rows reaching the server (model input)."""
-    mask = np.ones(orders.n_rows, dtype=bool)
-    if upper_o_orderdate is not None:
-        mask &= (orders.pdf["o_orderdate"] < upper_o_orderdate).to_numpy()
-    if bloom is not None:
-        mask &= bloom.might_contain(orders.pdf["o_custkey"].to_numpy())
-    return int(mask.sum())
+    if upper_o_orderdate is None:
+        return orders.n_rows
+    return int((orders.pdf["o_orderdate"] < upper_o_orderdate).sum())
 
 
 def baseline_join(
@@ -139,7 +134,6 @@ def bloom_join(
         if len(build_keys)
         else None
     )
-    pred = _date_pred(upper_o_orderdate)
     degraded = bloom is None and len(build_keys) > 0
 
     # Probe phase: scan orders with the Bloom predicate inside S3 Select
@@ -147,21 +141,19 @@ def bloom_join(
     phase_name = "probe-degraded" if degraded else "probe"
     with runner.phase(phase_name, n_objects=len(orders.keys)) as p:
         p.case_columns = 0 if bloom is None else bloom.k  # SUBSTRING evals/row
-        p.hash_rows = _probe_rows(orders, upper_o_orderdate, bloom=bloom)
         if len(build_keys) == 0:
-            # SUM over an empty join is SQL NULL (NaN in a float frame).
+            # No probe is sent. SUM over an empty join is SQL NULL (NaN
+            # in a float frame).
+            p.hash_rows = _probe_rows(orders, upper_o_orderdate)
             out = pd.DataFrame({"total": [float("nan")]})
         else:
-            o = read_table(
-                spark,
-                runner.store.root,
-                orders.name,
-                columns=_PROBE_COLS,
-                where=None if bloom is None else bloom.to_predicate("o_custkey"),
+            bloom_pred = None if bloom is None else bloom.to_predicate("o_custkey")
+            where = " AND ".join(
+                w for w in (_date_pred(upper_o_orderdate), bloom_pred) if w
             )
-            if pred:
-                o = o.filter(pred)
-            c = spark.createDataFrame(c_pdf)
+            o_pdf = select_table(runner.store, orders, _PROBE_COLS, where)
+            p.hash_rows = len(o_pdf)
+            o, c = to_spark(spark, orders, o_pdf), to_spark(spark, customer, c_pdf)
             out = _result(o.join(c, o.o_custkey == c.c_custkey)).toPandas()
     name = "bloom join (degraded)" if degraded else f"bloom join fpr={fpr}"
     return runner.finish(name, out)

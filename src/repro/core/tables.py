@@ -24,7 +24,7 @@ import pandas as pd
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.select_engine import select_all
 from repro.s3sim.store import ObjectStore
-from repro.schema import apply_schema
+from repro.schema import apply_schema, project_ddl
 
 
 @dataclass
@@ -81,13 +81,28 @@ def select_table(
     One S3 Select request per object (``select_all``), typed by the
     table's DDL: the rows, usage and dtypes of
     ``read_table(spark, root, name, columns=columns).filter(where).toPandas()``
-    without a Spark job, for phases whose rows the driver itself consumes.
+    without a Spark job. Every request whose S3 Select text an operator
+    writes goes through here; ``to_spark`` hands the rows to Spark when
+    Spark computes on them.
     """
     sql = f"SELECT {', '.join(columns)} FROM S3Object"
     if where:
         sql += f" WHERE {where}"
     frames = select_all(store, table.keys, sql)
     return apply_schema(pd.concat(frames, ignore_index=True), table.schema_ddl)
+
+
+def to_spark(spark, table: StoredTable, pdf: pd.DataFrame):
+    """``pdf`` -- rows of ``table`` the driver holds -- as a Spark DataFrame.
+
+    How rows fetched by ``select_table`` reach Spark's joins and
+    aggregates. The schema comes from the table's DDL, not from
+    inference, so an empty frame is accepted and the column types match
+    the ``s3select`` DataSource's.
+    """
+    return spark.createDataFrame(
+        pdf, schema=project_ddl(table.schema_ddl, list(pdf.columns))
+    )
 
 
 def write_table(

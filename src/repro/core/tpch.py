@@ -11,9 +11,11 @@ For each query we provide:
   projection pushdown everywhere, full aggregate pushdown (Q6),
   CASE-encoded S3-side group-by (Q1), and Bloom-join pipelines
   (Q3/Q14/Q17/Q19), with the final exact joins/aggregates in Spark.
-  Phases whose rows only the driver reads -- aggregates and Bloom build
-  sides -- call S3 Select directly (``select_all``/``select_table``);
-  the probe side that feeds Spark's join goes through the DataSource.
+  Every request whose S3 Select text the plan writes -- aggregates, Bloom
+  build sides and Bloom probes -- is sent by the driver
+  (``select_all``/``select_table``); rows Spark joins or aggregates reach
+  it through ``to_spark``. Only the baseline reads through the
+  ``s3select`` DataSource.
 
 Queries are adapted to the TPC-H-lite schema (see DESIGN.md S7): the
 selection constants are TPC-H's; text columns we do not generate are
@@ -26,10 +28,9 @@ import pyspark.sql.functions as F
 
 from repro.core.bloom import fit_fpr_to_limit
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import select_table
+from repro.core.tables import select_table, to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim.select_engine import MAX_SQL_BYTES, select_all
-from repro.schema import project_ddl
 
 QUERIES = ("q1", "q3", "q6", "q14", "q17", "q19")
 
@@ -263,14 +264,14 @@ def _opt_q3(spark, runner: Runner, tables: dict) -> QueryResult:
         where = "l_shipdate > '1995-03-15'"
         if bloom2 is not None:
             where += " AND " + bloom2.to_predicate("l_orderkey")
-        li_df = read_table(
-            spark, runner.store.root, "lineitem",
-            columns=["l_orderkey", "l_extendedprice", "l_discount"],
-            where=where,
-        )
+        li_df = to_spark(spark, li, select_table(
+            runner.store, li,
+            ["l_orderkey", "l_extendedprice", "l_discount"],
+            where,
+        ))
         joined = li_df.join(
-            spark.createDataFrame(
-                matched[["o_orderkey", "o_orderdate", "o_shippriority"]]
+            to_spark(
+                spark, o, matched[["o_orderkey", "o_orderdate", "o_shippriority"]]
             ),
             li_df.l_orderkey == F.col("o_orderkey"),
         )
@@ -326,12 +327,11 @@ def _opt_q14(spark, runner: Runner, tables: dict) -> QueryResult:
         "part", n_objects=len(pt.keys),
         case_columns=0 if bloom is None else bloom.k,
     ) as p:
-        pt_df = read_table(
-            spark, runner.store.root, "part",
-            columns=["p_partkey", "p_type"],
-            where=None if bloom is None else bloom.to_predicate("p_partkey"),
-        )
-        li_df = spark.createDataFrame(li_pdf)
+        pt_df = to_spark(spark, pt, select_table(
+            runner.store, pt, ["p_partkey", "p_type"],
+            None if bloom is None else bloom.to_predicate("p_partkey"),
+        ))
+        li_df = to_spark(spark, li, li_pdf)
         joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
         disc = F.col("l_extendedprice") * (1 - F.col("l_discount"))
         promo = F.when(F.col("p_type").startswith("PROMO"), disc).otherwise(0.0)
@@ -357,21 +357,16 @@ def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
         "lineitem", n_objects=len(li.keys),
         case_columns=0 if bloom is None else bloom.k,
     ) as p:
-        li_df = read_table(
-            spark, runner.store.root, "lineitem",
-            columns=["l_partkey", "l_quantity", "l_extendedprice"],
-            where=None if bloom is None else bloom.to_predicate("l_partkey"),
-        )
+        li_df = to_spark(spark, li, select_table(
+            runner.store, li, ["l_partkey", "l_quantity", "l_extendedprice"],
+            None if bloom is None else bloom.to_predicate("l_partkey"),
+        ))
         # Exact join removes Bloom false positives; every true part keeps
         # *all* its lineitem rows (no false negatives), so the per-part
-        # AVG equals the correlated subquery's.
-        # The explicit schema admits an empty build side (Spark cannot
-        # infer a schema from no rows); the answer is then NULL.
+        # AVG equals the correlated subquery's. An empty build side
+        # gives a NULL answer.
         joined = li_df.join(
-            spark.createDataFrame(
-                pt_pdf[["p_partkey"]],
-                schema=project_ddl(pt.schema_ddl, ["p_partkey"]),
-            ),
+            to_spark(spark, pt, pt_pdf[["p_partkey"]]),
             li_df.l_partkey == F.col("p_partkey"),
         )
         avg = joined.groupBy("p_partkey").agg(
@@ -418,12 +413,11 @@ def _opt_q19(spark, runner: Runner, tables: dict) -> QueryResult:
         "part", n_objects=len(pt.keys),
         case_columns=0 if bloom is None else bloom.k,
     ) as p:
-        pt_df = read_table(
-            spark, runner.store.root, "part",
-            columns=["p_partkey", "p_brand", "p_size", "p_container"],
-            where=pt_where,
-        )
-        li_df = spark.createDataFrame(li_pdf)
+        pt_df = to_spark(spark, pt, select_table(
+            runner.store, pt, ["p_partkey", "p_brand", "p_size", "p_container"],
+            pt_where,
+        ))
+        li_df = to_spark(spark, li, li_pdf)
         joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
         branch = (
             "(p_brand = 'Brand#12'"

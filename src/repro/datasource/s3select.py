@@ -12,16 +12,17 @@ WHERE clause that runs storage-side, and give back to Spark whatever the
 dialect cannot express. One Spark input partition maps to one S3 object,
 mirroring PushdownDB's process-per-partition parallel loads.
 
-Options:
+The WHERE clause is always Catalyst's: S3 Select text an operator
+writes itself (a Bloom probe, a ``NOT IN`` tail) is sent by the driver
+(``core.tables.select_table``), not through this DataSource.
+
+Options (any other raises ``ValueError``):
 
 * ``root`` (required)   -- ObjectStore root directory
 * ``table`` (required)  -- table name (object prefix, from core.tables)
 * ``columns``           -- comma list: projection pushdown (the Python
   DS API has no column-pruning hook yet; PushdownDB likewise sets the
   projection statically in its plan)
-* ``where``             -- extra raw S3 Select boolean text ANDed with
-  pushed filters (used for Bloom-filter probes, which no Catalyst
-  Filter can express)
 * ``pushdown``          -- "false" disables filter pushdown (baselines)
 * ``format``            -- "csv" (default) or "parquet"
 """
@@ -38,6 +39,7 @@ from repro.s3sim.store import ObjectStore
 from repro.schema import project_ddl, typed_column
 
 _NUMERIC_TYPES = (LongType, IntegerType, DoubleType, FloatType)
+_OPTIONS = ("root", "table", "columns", "pushdown", "format")
 
 
 class S3SelectDataSource(DataSource):
@@ -67,6 +69,12 @@ class S3SelectReader(DataSourceReader):
     """Reader with Catalyst filter pushdown into S3 Select."""
 
     def __init__(self, schema: StructType, options: dict):
+        unknown = sorted({k.lower() for k in options} - set(_OPTIONS))
+        if unknown:
+            raise ValueError(
+                f"s3select: unknown option(s) {unknown}; "
+                f"supported: {', '.join(_OPTIONS)}"
+            )
         self.schema = schema
         self.options = options
         self.root = options["root"]
@@ -105,9 +113,6 @@ class S3SelectReader(DataSourceReader):
     def _sql(self) -> str:
         cols = ", ".join(f.name for f in self.schema.fields)
         conjuncts = [f"({c})" for c in self.pushed_sql]
-        extra = self.options.get("where")
-        if extra:
-            conjuncts.append(f"({extra})")
         where = f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""
         return f"SELECT {cols} FROM S3Object{where}"
 
@@ -144,7 +149,6 @@ def read_table(
     table: str,
     *,
     columns: list | None = None,
-    where: str | None = None,
     pushdown: bool = True,
     fmt: str = "csv",
 ):
@@ -159,6 +163,4 @@ def read_table(
     )
     if columns:
         r = r.option("columns", ",".join(columns))
-    if where:
-        r = r.option("where", where)
     return r.load()

@@ -13,6 +13,12 @@ Semantics notes (kept deliberately close to the real service):
   or a ``CAST`` result), the other side is coerced to numeric;
   non-parseable cells become NULL and drop out of the result.
 * Empty CSV cells are NULL (``IS NULL``, skipped by aggregates).
+* Predicates follow SQL's three-valued logic. A comparison, ``BETWEEN``,
+  ``IN`` or ``LIKE`` over a NULL operand is NULL (a nullable ``boolean``
+  Series holding ``<NA>``), ``AND``/``OR``/``NOT`` combine these with
+  Kleene logic (``NOT NULL`` is NULL, ``NULL OR TRUE`` is TRUE), and
+  ``WHERE`` and ``CASE WHEN`` treat NULL as false -- so neither
+  ``WHERE p`` nor ``WHERE NOT p`` returns a row where ``p`` is NULL.
 * ``CAST(x AS INT)`` rounds half away from zero, as DuckDB does:
   ``CAST('2.5' AS INT)`` is 3 and ``CAST('-1.5' AS INT)`` is -2; a
   non-numeric or empty ``x`` gives NULL. Results are float-backed,
@@ -89,6 +95,21 @@ def _as_mask(v, index) -> pd.Series:
     return pd.Series(bool(v), index=index)
 
 
+def _bool3(v, index) -> pd.Series:
+    """A predicate's value as a nullable ``boolean`` Series (NULL = ``<NA>``)."""
+    if isinstance(v, pd.Series) and v.dtype == "boolean":
+        return v
+    if v is None:
+        return pd.Series(pd.NA, index=index, dtype="boolean")
+    return _as_mask(v, index).astype("boolean")
+
+
+def _with_nulls(m: pd.Series, nulls: pd.Series) -> pd.Series:
+    """The boolean mask ``m``, NULL wherever ``nulls`` holds."""
+    n = nulls.to_numpy()
+    return pd.Series(pd.arrays.BooleanArray(m.to_numpy() & ~n, n), index=m.index)
+
+
 def _round_half_away(n):
     """Round half away from zero: 2.5 -> 3, -1.5 -> -2, -0.3 -> 0 (not -0)."""
     a = np.abs(n)
@@ -156,14 +177,14 @@ class _Evaluator:
 
     def _eval_unaryop(self, e: UnaryOp):
         if e.op == "NOT":
-            return ~_as_mask(self.eval(e.operand), self.df.index)
+            return ~_bool3(self.eval(e.operand), self.df.index)
         v = self.num(e.operand)
         return -v if e.op == "-" else v
 
     def _eval_binop(self, e: BinOp):
         if e.op in ("AND", "OR"):
-            lm = _as_mask(self.eval(e.left), self.df.index)
-            rm = _as_mask(self.eval(e.right), self.df.index)
+            lm = _bool3(self.eval(e.left), self.df.index)
+            rm = _bool3(self.eval(e.right), self.df.index)
             return (lm & rm) if e.op == "AND" else (lm | rm)
         if e.op in ("+", "-", "*", "/", "%"):
             left, right = self.num(e.left), self.num(e.right)
@@ -190,9 +211,9 @@ class _Evaluator:
             ">=": lambda a, b: a >= b,
         }
         if not isinstance(left, pd.Series) and not isinstance(right, pd.Series):
-            return bool(ops[e.op](left, right))
+            return None if nulls.any() else bool(ops[e.op](left, right))
         res = ops[e.op](left, right)
-        return _as_mask(res, self.df.index) & ~nulls
+        return _with_nulls(_as_mask(res, self.df.index), nulls)
 
     def _eval_cast(self, e: Cast):
         if e.type in ("INT", "INTEGER", "BIGINT"):
@@ -289,31 +310,28 @@ class _Evaluator:
         m = _null_mask(self.eval(e.expr), self.df.index)
         return ~m if e.negated else m
 
-    def _negate(self, m: pd.Series, expr) -> pd.Series:
-        # SQL three-valued logic: NULL BETWEEN/IN/LIKE is NULL, and so is
-        # its negation -- a NULL row never qualifies either way.
-        return ~m & ~_null_mask(self.eval(expr), self.df.index)
-
     def _eval_between(self, e: Between):
         lo = BinOp(">=", e.expr, e.low)
         hi = BinOp("<=", e.expr, e.high)
-        m = _as_mask(self.eval(BinOp("AND", lo, hi)), self.df.index)
-        return self._negate(m, e.expr) if e.negated else m
+        m = self.eval(BinOp("AND", lo, hi))
+        return ~m if e.negated else m
 
     def _eval_inlist(self, e: InList):
-        m = pd.Series(False, index=self.df.index)
+        m = _bool3(False, self.df.index)
         for item in e.items:
-            m = m | _as_mask(self.eval(BinOp("=", e.expr, item)), self.df.index)
-        return self._negate(m, e.expr) if e.negated else m
+            m = m | _bool3(self.eval(BinOp("=", e.expr, item)), self.df.index)
+        return ~m if e.negated else m
 
     def _eval_like(self, e: Like):
         v = self.eval(e.expr)
         rx = _like_to_regex(e.pattern)
         if isinstance(v, pd.Series):
-            m = v.astype(str).str.match(rx, na=False)
+            m = _with_nulls(
+                v.astype(str).str.match(rx, na=False), _null_mask(v, self.df.index)
+            )
         else:
-            m = pd.Series(bool(re.match(rx, str(v))), index=self.df.index)
-        return self._negate(m, e.expr) if e.negated else m
+            m = _bool3(None if v is None else bool(re.match(rx, str(v))), self.df.index)
+        return ~m if e.negated else m
 
     def _eval_func(self, e: Func):
         if e.name in AGG_FUNCS:

@@ -1,8 +1,11 @@
 """Tests for the s3select PySpark DataSource (Catalyst integration)."""
 import pytest
+from pyspark.sql.types import StructType
 
 from repro.core.tables import write_table
-from repro.datasource.s3select import read_table
+from repro.datasource.s3select import (
+    S3SelectDataSource, S3SelectReader, ensure_registered, read_table,
+)
 from repro.s3sim import ObjectStore
 
 
@@ -89,14 +92,24 @@ def test_unsupported_filter_still_correct(spark, ds_store):
     assert sorted(r.k for r in df.collect()) == [0, 2, 4, 6, 8]
 
 
-def test_where_option_composes_with_filters(spark, ds_store):
-    df = read_table(
-        spark, ds_store.root, "t", where="s = 'cat1'"
-    ).filter("k < 100")
-    out = df.toPandas()
-    assert (out["s"] == "cat1").all()
-    assert (out["k"] < 100).all()
-    assert len(out) == 20
+def test_unknown_option_is_rejected(spark, ds_store):
+    """A stale option must not be ignored: the scan would run unfiltered."""
+    opts = {"root": str(ds_store.root), "table": "t", "where": "s = 'cat1'"}
+    schema = S3SelectDataSource(opts).schema()
+    with pytest.raises(ValueError, match=r"unknown option\(s\) \['where'\]"):
+        S3SelectReader(StructType.fromDDL(schema), opts)
+    ok = {k: v for k, v in opts.items() if k != "where"}
+    S3SelectReader(
+        StructType.fromDDL(schema),
+        {**ok, "columns": "k", "pushdown": "true", "format": "csv"},
+    )
+    ensure_registered(spark)
+    df = (
+        spark.read.format("s3select").option("root", str(ds_store.root))
+        .option("table", "t").option("where", "s = 'cat1'").load()
+    )
+    with pytest.raises(Exception, match="unknown option"):
+        df.count()
 
 
 def test_one_spark_partition_per_object(spark, ds_store):

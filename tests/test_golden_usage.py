@@ -4,7 +4,10 @@ Modeled runtimes and costs are computed from these counters, so a change
 that must not move the paper's figures -- an evaluator, decoder or
 request-path rewrite -- must leave every number in
 ``golden_usage.json`` unchanged: request counts and bytes scanned,
-returned and transferred, per query and per phase.
+returned and transferred, per query and per phase; each phase's
+server-side row counts (``hash_rows``, ``agg_rows``, ``heap_rows``) and
+``case_columns``; and the modeled ``runtime_s`` and total cost they
+produce.
 
 A change that is *meant* to move them regenerates the file with::
 
@@ -25,10 +28,18 @@ GOLDEN = Path(__file__).with_name("golden_usage.json")
 VALUE_COLS = ["v1", "v2", "v3", "v4"]
 
 
+_PHASE_ROWS = ("hash_rows", "agg_rows", "heap_rows", "case_columns")
+
+
 def _record(result) -> dict:
     return {
         "usage": result.usage.to_dict(),
-        "phases": [[p.name, p.usage.to_dict()] for p in result.phases],
+        "runtime_s": result.runtime_s,
+        "cost_total": result.cost.total,
+        "phases": [
+            [p.name, p.usage.to_dict(), {k: getattr(p, k) for k in _PHASE_ROWS}]
+            for p in result.phases
+        ],
     }
 
 

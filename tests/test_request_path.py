@@ -1,14 +1,15 @@
-"""Which phases run a Spark job, and which the driver serves itself.
+"""Which phases run through the ``s3select`` DataSource, and which the driver sends.
 
-A phase whose S3 Select rows end up on the driver (a Bloom build side,
-a driver-side aggregate) calls ``select_all``; only a phase where Spark
-computes something -- the probe side feeding a join -- goes through the
-``s3select`` DataSource via ``read_table``. Each plan below must call
-``read_table`` exactly once, for its probe side, or not at all.
+The rule: if an operator writes the S3 Select text itself -- an
+aggregate, a Bloom build or probe, a ``NOT IN`` tail -- the driver sends
+it (``select_all``/``select_table``), and rows Spark computes on reach it
+through ``to_spark``. Only Catalyst-planned scans call ``read_table``: a
+filter pushed through ``pushFilters``, such as sampling top-K's
+threshold scan or ``s3_side_filter``.
 """
 import pytest
 
-from repro.core import join_ops, tpch
+from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
 from repro.datasource import s3select
 from tests.conftest import new_runner_for
 
@@ -21,29 +22,51 @@ def read_table_calls(monkeypatch) -> list:
         calls.append(table)
         return s3select.read_table(spark, root, table, **kwargs)
 
-    monkeypatch.setattr(tpch, "read_table", spy)
-    monkeypatch.setattr(join_ops, "read_table", spy)
+    for mod in (filter_ops, groupby_ops, join_ops, topk_ops, tpch):
+        monkeypatch.setattr(mod, "read_table", spy)
     return calls
 
 
-@pytest.mark.parametrize(
-    "q,probe",
-    [("q1", None), ("q3", "lineitem"), ("q6", None), ("q14", "part"),
-     ("q17", "lineitem"), ("q19", "part")],
-)
-def test_tpch_reads_through_spark_only_for_the_probe(
-    spark, store, tpch_tables, read_table_calls, q, probe
+@pytest.mark.parametrize("q", tpch.QUERIES)
+def test_tpch_optimized_never_reads_through_the_datasource(
+    spark, store, tpch_tables, read_table_calls, q
 ):
     tpch.run_optimized(spark, new_runner_for(store), tpch_tables, q)
-    assert read_table_calls == ([probe] if probe else [])
+    assert read_table_calls == []
 
 
-def test_bloom_join_reads_through_spark_only_for_the_probe(
+def test_bloom_join_never_reads_through_the_datasource(
     spark, store, tpch_tables, read_table_calls
 ):
     r = join_ops.bloom_join(
         spark, new_runner_for(store), tpch_tables["customer"],
-        tpch_tables["orders"], -450, None,
+        tpch_tables["orders"], -450, "1995-01-01",
     )
-    assert r.phases[0].hash_rows > 0
-    assert read_table_calls == ["orders"]
+    assert [p.name for p in r.phases] == ["build", "probe"]
+    assert r.phases[1].hash_rows > 0
+    assert read_table_calls == []
+
+
+def test_hybrid_groupby_never_reads_through_the_datasource(
+    spark, store, groups_zipf, read_table_calls
+):
+    groupby_ops.hybrid_groupby(
+        spark, new_runner_for(store), groups_zipf, "g1", ["v1", "v2"]
+    )
+    assert read_table_calls == []
+
+
+def test_sampling_topk_reads_its_threshold_scan_through_the_datasource(
+    spark, store, tpch_tables, read_table_calls
+):
+    topk_ops.sampling_topk(
+        spark, new_runner_for(store), tpch_tables["lineitem"], "l_extendedprice", 10
+    )
+    assert read_table_calls == ["lineitem"]
+
+
+def test_s3_side_filter_reads_through_the_datasource(
+    spark, store, filter_table, read_table_calls
+):
+    filter_ops.s3_side_filter(spark, new_runner_for(store), filter_table, "u < 0.01")
+    assert read_table_calls == [filter_table.name]

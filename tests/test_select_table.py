@@ -1,13 +1,16 @@
-"""The driver's request path: ``select_all`` and the typed ``select_table``.
+"""The driver's request path: ``select_all``, the typed ``select_table`` and ``to_spark``.
 
 ``select_table`` must hand the driver exactly what the Spark path
 ``read_table(..., columns=...).filter(pred).toPandas()`` would: the same
-rows, column order and dtypes, and the same recorded S3 usage.
+rows, column order and dtypes, and the same recorded S3 usage; and
+``to_spark`` must hand Spark what that DataSource scan would.
 """
 import pandas as pd
+import pyspark.sql.functions as F
 import pytest
 
-from repro.core.tables import select_table, write_table
+from repro.core.bloom import build_from_keys
+from repro.core.tables import select_table, to_spark, write_table
 from repro.datasource.s3select import read_table
 from repro.s3sim import select_all
 
@@ -90,3 +93,41 @@ def test_select_all_one_frame_per_key_in_key_order(fresh_store):
         list(range(8, 12)), list(range(4, 8)), list(range(0, 4)),
     ]
     assert select_all(fresh_store, [], "SELECT k FROM S3Object") == []
+
+
+def _spark_rows(df) -> pd.DataFrame:
+    return _sorted(df.toPandas())
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["bloom-probe", "empty"])
+def test_to_spark_equals_datasource_read(spark, store, tpch, empty):
+    """``to_spark(select_table(...))`` is what a DataSource scan hands Spark.
+
+    A Bloom probe's WHERE cannot be a Catalyst filter, so the DataSource
+    side pushes ``o_custkey IN (<the keys the filter passes>)``: the same
+    rows of the same objects, hence the same usage.
+    """
+    orders = tpch["orders"]
+    cols = ["o_custkey", "o_totalprice", "o_orderdate"]
+    bloom = build_from_keys(tpch["customer"].pdf["c_custkey"].to_numpy()[:50], 0.01)
+    date = "1900-01-01" if empty else "1995-01-01"
+    where = f"o_orderdate < '{date}' AND {bloom.to_predicate('o_custkey')}"
+    passed = orders.pdf["o_custkey"][
+        bloom.might_contain(orders.pdf["o_custkey"].to_numpy())
+    ]
+    got, got_usage = _usage_of(
+        store,
+        lambda: _spark_rows(
+            to_spark(spark, orders, select_table(store, orders, cols, where))
+        ),
+    )
+    df = read_table(spark, store.root, "orders", columns=cols).filter(
+        F.col("o_custkey").isin(sorted(set(passed.tolist())))
+        & (F.col("o_orderdate") < date)
+    )
+    want, want_usage = _usage_of(store, lambda: _spark_rows(df))
+    assert (len(got) == 0) == empty
+    assert to_spark(spark, orders, got).schema == df.schema
+    assert got.dtypes.to_dict() == want.dtypes.to_dict()
+    pd.testing.assert_frame_equal(got, want)
+    assert got_usage == want_usage

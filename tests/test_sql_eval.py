@@ -86,7 +86,8 @@ def test_and_or_not(df):
     out = run(
         "SELECT a FROM S3Object WHERE (b = 'x' OR b = 'y') AND NOT a = 1", df
     )
-    assert out["a"].tolist() == ["2", "3", ""]
+    # The last row's a is '' (NULL): NOT (NULL = 1) is NULL, so it drops.
+    assert out["a"].tolist() == ["2", "3"]
 
 
 def test_null_cell_drops_from_numeric_compare(df):
@@ -552,3 +553,69 @@ def test_cast_int_matches_duckdb():
     df = pd.DataFrame({"x": ["2.5", "-1.5", "0.5", "-0.5", "3.49"]})
     ours = run("SELECT CAST(x AS INT) AS i FROM S3Object", df)["i"].tolist()
     assert ours == [float(v) for v in got]
+
+
+# -- three-valued logic -----------------------------------------------------
+
+@pytest.fixture()
+def nulls_df():
+    """Empty ('' = NULL) and non-numeric cells next to numbers."""
+    return pd.DataFrame(
+        {
+            "i": [str(n) for n in range(9)],
+            "x": ["1", "2", "", "abc", "-3", "0", "2.5", "3", ""],
+            "y": ["a", "", "b", "a", "c", "", "a", "b", "a"],
+        }
+    )
+
+
+# (our predicate, DuckDB's over the same rows with '' as NULL)
+PREDICATES = [
+    ("CAST(x AS FLOAT) > 0", "TRY_CAST(x AS DOUBLE) > 0"),
+    ("x IN ('1', '3')", "x IN ('1', '3')"),
+    ("CAST(x AS FLOAT) > 0 AND y = 'a'", "TRY_CAST(x AS DOUBLE) > 0 AND y = 'a'"),
+    ("CAST(x AS FLOAT) > 0 OR y = 'a'", "TRY_CAST(x AS DOUBLE) > 0 OR y = 'a'"),
+    ("CAST(x AS FLOAT) BETWEEN 0 AND 2", "TRY_CAST(x AS DOUBLE) BETWEEN 0 AND 2"),
+    ("x LIKE '%'", "x LIKE '%'"),
+]
+
+
+def _duck_rows(df: pd.DataFrame, where: str) -> list:
+    con = duckdb.connect()
+    con.register("raw", df)
+    con.execute(
+        "CREATE VIEW t AS SELECT i, NULLIF(x, '') AS x, NULLIF(y, '') AS y FROM raw"
+    )
+    rows = con.execute(f"SELECT i FROM t WHERE {where}").fetchall()
+    con.close()
+    return sorted(r[0] for r in rows)
+
+
+@pytest.mark.parametrize("ours,duck", PREDICATES)
+@pytest.mark.parametrize("negate", [False, True])
+def test_predicate_over_null_matches_duckdb(nulls_df, ours, duck, negate):
+    if negate:
+        ours, duck = f"NOT ({ours})", f"NOT ({duck})"
+    got = run(f"SELECT i FROM S3Object WHERE {ours}", nulls_df)["i"].tolist()
+    assert sorted(got) == _duck_rows(nulls_df, duck)
+
+
+def test_not_over_null_returns_no_null_rows(nulls_df):
+    """The two predicates that used to return '' and 'abc' rows under NOT."""
+    got = run(
+        "SELECT x FROM S3Object WHERE NOT (CAST(x AS FLOAT) > 0)", nulls_df
+    )["x"].tolist()
+    assert sorted(got) == ["-3", "0"]
+    got = run("SELECT x FROM S3Object WHERE NOT (x IN ('1','3'))", nulls_df)
+    assert "" not in got["x"].tolist()
+
+
+@pytest.mark.parametrize("p", [ours for ours, _ in PREDICATES])
+def test_ternary_logic_partitions_cover_every_row(nulls_df, p):
+    """|p| + |NOT p| + |p IS NULL| = |rows| (Rigger & Su's TLP)."""
+    def count(where):
+        return len(run(f"SELECT i FROM S3Object WHERE {where}", nulls_df))
+
+    parts = [count(p), count(f"NOT ({p})"), count(f"({p}) IS NULL")]
+    assert sum(parts) == len(nulls_df)
+    assert parts[2] > 0  # each predicate is NULL somewhere in this frame

@@ -88,3 +88,54 @@ def test_q17_empty_bloom_build_side(spark, tpch_tables, fresh_store):
         lineitem=tables["lineitem"].pdf,
         part=tables["part"].pdf,
     )
+
+
+def _probe_returns_nothing(spark, fresh_store, q, tables, schema):
+    """``q``'s last (probe) phase receives no rows; the plan equals DuckDB."""
+    from repro.core.tables import write_table
+
+    stored = {
+        n: write_table(fresh_store, n, pdf, n_partitions=4)
+        for n, pdf in tables.items()
+    }
+    r = tpch.run_optimized(spark, new_runner_for(fresh_store), stored, q)
+    probe = r.phases[-1]
+    assert probe.usage.select_requests == 4 and probe.usage.bytes_returned == 0
+    assert_equivalent(
+        spark.createDataFrame(r.df, schema=schema),
+        tpch.reference_sql(q),
+        **{n: t.pdf for n, t in stored.items()},
+    )
+    return r
+
+
+def test_q3_empty_probe_side(spark, tpch_tables, fresh_store):
+    """No lineitem ships after the orders cut-off: an empty top 10."""
+    li = tpch_tables["lineitem"].pdf
+    r = _probe_returns_nothing(
+        spark, fresh_store, "q3",
+        {
+            "customer": tpch_tables["customer"].pdf,
+            "orders": tpch_tables["orders"].pdf,
+            "lineitem": li[li["l_shipdate"] <= "1995-03-15"],
+        },
+        "l_orderkey bigint, revenue double, o_orderdate string, "
+        "o_shippriority bigint",
+    )
+    assert len(r.df) == 0
+
+
+def test_q14_empty_probe_side(spark, tpch_tables, fresh_store):
+    """Every part the Bloom filter would pass is removed: a NULL ratio."""
+    li, part = tpch_tables["lineitem"].pdf, tpch_tables["part"].pdf
+    in_month = (li["l_shipdate"] >= "1995-09-01") & (li["l_shipdate"] < "1995-10-01")
+    bloom = tpch._bloom_or_none(li[in_month]["l_partkey"].unique(), "p_partkey")
+    r = _probe_returns_nothing(
+        spark, fresh_store, "q14",
+        {
+            "lineitem": li,
+            "part": part[~bloom.might_contain(part["p_partkey"].to_numpy())],
+        },
+        "promo_revenue double",
+    )
+    assert r.df["promo_revenue"].isna().all() and len(r.df) == 1
