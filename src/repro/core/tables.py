@@ -178,7 +178,8 @@ def read_stored_table(store: ObjectStore, name: str) -> StoredTable:
     manifest = json.loads(store.get_meta(f"{name}/manifest.json"))
     ddl = store.get_meta(f"{name}/schema.ddl")
     frames = [
-        csvio.from_csv_bytes(store.storage_read(k)) for k in manifest["keys"]
+        csvio.from_csv_bytes(store.storage_read(k)).to_pandas()
+        for k in manifest["keys"]
     ]
     pdf = apply_schema(pd.concat(frames, ignore_index=True), ddl)
     return StoredTable(

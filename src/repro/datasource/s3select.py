@@ -36,7 +36,7 @@ from pyspark.sql.types import DoubleType, FloatType, IntegerType, LongType, Stru
 from repro.datasource.translate import split_filters
 from repro.s3sim.select_engine import s3_select
 from repro.s3sim.store import ObjectStore
-from repro.schema import project_ddl, typed_column
+from repro.schema import project_ddl, spark_values
 
 _NUMERIC_TYPES = (LongType, IntegerType, DoubleType, FloatType)
 _OPTIONS = ("root", "table", "columns", "pushdown", "format")
@@ -124,8 +124,9 @@ class S3SelectReader(DataSourceReader):
             # S3 Select scan/return. Projection/filtering happen in Spark.
             from repro.s3sim import csvio
 
-            result = csvio.from_csv_bytes(store.get(partition.value))
-            result = result[[f.name for f in self.schema.fields]]
+            names = [f.name for f in self.schema.fields]
+            data = store.get(partition.value)
+            result = csvio.from_csv_bytes(data, select=names).select(names).to_pandas()
         else:
             result = s3_select(
                 store, partition.value, self._sql(), input_format=self.fmt
@@ -133,7 +134,7 @@ class S3SelectReader(DataSourceReader):
         if len(result) == 0:
             return
         yield from zip(*(
-            typed_column(result[name], typ).tolist() for name, typ in self.types
+            spark_values(result[name], typ) for name, typ in self.types
         ))
 
 

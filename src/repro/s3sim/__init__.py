@@ -15,7 +15,7 @@ Modules:
     parquetio      -- Parquet objects with column-chunk scan accounting
     sql_ast        -- AST for the S3 Select SQL subset
     sql_parser     -- tokenizer + recursive-descent parser
-    sql_eval       -- vectorized evaluator over pandas frames
+    sql_eval       -- vectorized evaluator over Arrow columns
     select_engine  -- ties it together: run one S3 Select request
 """
 from repro.s3sim.store import ObjectStore

@@ -7,11 +7,14 @@ strings, and typing happens via ``CAST`` inside S3 Select queries or via
 the table schema on the compute side -- the same contract real S3 Select
 has.
 
-Objects are decoded with ``pyarrow.csv``, every column typed ``string``
-and no cell ever read as NULL, into an all-``str`` pandas frame: empty
-cells are ``""``, and ``NA``/``null``/``NaN`` tokens, leading zeros and
+Objects are decoded with ``pyarrow.csv`` into a ``pyarrow.Table``,
+every column typed ``string`` and no cell ever read as NULL: empty cells
+are ``""``, and ``NA``/``null``/``NaN`` tokens, leading zeros and
 surrounding spaces stay as written. It is the only decoder; full objects,
-ranged-GET rows and the DataSource all go through it.
+ranged-GET rows and the DataSource all go through it. The S3 Select
+evaluator works on the Arrow table directly; readers that want pandas
+(``parse_rows``, the DataSource's plain GET, ``core.tables``) call
+``to_pandas()``, which gives all-``str`` object columns.
 
 This module also computes per-row byte offsets at write time, which the
 paper's index tables (SIV-A) store so that individual rows can later be
@@ -42,20 +45,20 @@ def from_csv_bytes(
     header: bool = True,
     columns: list[str] | None = None,
     select: list[str] | None = None,
-) -> pd.DataFrame:
-    """Parse CSV bytes into an all-string frame.
+) -> pa.Table:
+    """Parse CSV bytes into an all-string Arrow table.
 
-    Every column is ``str`` (object dtype) and empty cells, quoted or
-    not, are empty strings; ``NA``/``null``-like tokens, leading zeros and
+    Every column is ``string`` and empty cells, quoted or not, are empty
+    strings (never NULL); ``NA``/``null``-like tokens, leading zeros and
     surrounding spaces are kept verbatim -- mirroring S3 Select, where CSV
     fields are untyped until CAST. Decoding is ``pyarrow.csv`` with every
     column typed ``string`` and no string ever read as NULL.
 
     ``columns`` names the columns of header-less data. ``select`` keeps
     only the named columns (matched case-insensitively, like the
-    evaluator's lookups): the rest are parsed but never become Python
-    strings. If ``select`` is empty or names a column the data lacks,
-    every column is kept.
+    evaluator's lookups): the rest are parsed but never materialized.
+    If ``select`` is empty or names a column the data lacks, every
+    column is kept.
     """
     if header:
         end = data.find(b"\n")
@@ -77,13 +80,12 @@ def from_csv_bytes(
         strings_can_be_null=False,
         quoted_strings_can_be_null=False,
     )
-    table = pacsv.read_csv(
+    return pacsv.read_csv(
         io.BytesIO(data),
         read_options=read,
         parse_options=_PARSE,
         convert_options=convert,
     )
-    return table.to_pandas(use_threads=False)
 
 
 def row_byte_offsets(data: bytes) -> list[tuple[int, int]]:
@@ -107,7 +109,10 @@ def row_byte_offsets(data: bytes) -> list[tuple[int, int]]:
 
 
 def parse_rows(data: bytes, columns: list[str]) -> pd.DataFrame:
-    """Parse header-less CSV row bytes (e.g. concatenated ranged GETs)."""
+    """Parse header-less CSV row bytes (e.g. concatenated ranged GETs).
+
+    Returns an all-``str`` pandas frame.
+    """
     if not data.strip():
         return pd.DataFrame({c: pd.Series(dtype=str) for c in columns})
-    return from_csv_bytes(data, header=False, columns=columns)
+    return from_csv_bytes(data, header=False, columns=columns).to_pandas()

@@ -36,8 +36,8 @@ def to_parquet_bytes(
     return buf.getvalue()
 
 
-def read_columns(data: bytes, columns: list[str] | None = None) -> pd.DataFrame:
-    """Read (a projection of) a Parquet object into pandas.
+def read_columns(data: bytes, columns: list[str] | None = None) -> pa.Table:
+    """Read (a projection of) a Parquet object as an Arrow table.
 
     Column name matching is case-insensitive, like our CSV path.
     """
@@ -49,7 +49,7 @@ def read_columns(data: bytes, columns: list[str] | None = None) -> pd.DataFrame:
         if missing:
             raise KeyError(f"no such parquet columns: {missing}")
         columns = [lower[c.lower()] for c in columns]
-    return f.read(columns=columns).to_pandas()
+    return f.read(columns=columns)
 
 
 def scanned_bytes(data: bytes, columns: list[str] | None = None) -> int:

@@ -2,7 +2,10 @@
 
 ``s3_select(store, key, sql)`` parses ``sql`` (rejecting anything the
 real 2019-era service could not do), scans the object, evaluates the
-query, and records usage:
+query, and records usage. The object is decoded into a
+``pyarrow.Table`` of only the referenced columns (``csvio`` or
+``parquetio``), evaluated on those Arrow columns (``sql_eval``), and
+only the result becomes a pandas frame. Usage:
 
 * ``bytes_scanned``  -- CSV: the whole object (S3 Select is a scan
   engine; a ``LIMIT`` with no WHERE stops early, modeled as the scanned
@@ -55,11 +58,11 @@ def s3_select(
     sql: str,
     input_format: str = "csv",
 ) -> pd.DataFrame:
-    """Execute one S3 Select request; returns the result rows.
+    """Execute one S3 Select request; returns the result rows as a pandas frame.
 
-    CSV results are all-string frames (aggregates keep native numeric
-    types for caller convenience; byte accounting always uses the CSV
-    serialization either way).
+    Projected CSV columns are ``str``; computed columns and aggregates
+    keep native numeric types for caller convenience (byte accounting
+    always uses the CSV serialization either way).
     """
     if len(sql.encode()) > MAX_SQL_BYTES:
         raise S3SelectError(

@@ -22,6 +22,31 @@ def _typed(value) -> tuple:
     return (type(value), repr(value) if isinstance(value, float) else value)
 
 
+def _hash_once(cls):
+    """Cache a composite node's structural hash on first use.
+
+    The evaluator's per-request memo is keyed by nodes, so it hashes each
+    one many times; without the cache every hash walks the subtree. The
+    cached value is left out of pickles (string hashes differ between
+    processes).
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 @dataclass(frozen=True, eq=False)
 class Literal:
     """A string, integer, float, or NULL literal.
@@ -53,6 +78,7 @@ class Star:
     """``*`` in a projection or ``COUNT(*)``."""
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BinOp:
     """Binary operator: arithmetic, comparison, AND/OR."""
@@ -61,6 +87,7 @@ class BinOp:
     right: "Expr"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class UnaryOp:
     """Unary ``-``, ``+`` or ``NOT``."""
@@ -68,6 +95,7 @@ class UnaryOp:
     operand: "Expr"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Cast:
     """``CAST(expr AS type)`` -- the only way to type CSV fields."""
@@ -75,6 +103,7 @@ class Cast:
     type: str  # 'INT','FLOAT','DECIMAL','STRING','TIMESTAMP','BOOL'
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Substring:
     """``SUBSTRING(str, start[, length])`` -- 1-based, SQL semantics."""
@@ -83,6 +112,7 @@ class Substring:
     length: Optional["Expr"] = None
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Func:
     """Aggregate or scalar function call."""
@@ -91,6 +121,7 @@ class Func:
     star: bool = False  # COUNT(*)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Case:
     """``CASE WHEN cond THEN val [WHEN ...] [ELSE val] END``."""
@@ -98,12 +129,14 @@ class Case:
     else_: Optional["Expr"] = None
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IsNull:
     expr: "Expr"
     negated: bool = False
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Between:
     expr: "Expr"
@@ -112,6 +145,7 @@ class Between:
     negated: bool = False
 
 
+@_hash_once
 @dataclass(frozen=True)
 class InList:
     expr: "Expr"
@@ -119,6 +153,7 @@ class InList:
     negated: bool = False
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Like:
     expr: "Expr"
@@ -150,36 +185,30 @@ class Query:
         return len(self.items) == 1 and isinstance(self.items[0].expr, Star)
 
 
-def walk(expr) -> list:
+def walk(expr):
     """All AST nodes in ``expr`` (pre-order), for analysis passes."""
-    out = [expr]
+    yield expr
     if isinstance(expr, BinOp):
-        out += walk(expr.left) + walk(expr.right)
+        children = [expr.left, expr.right]
     elif isinstance(expr, UnaryOp):
-        out += walk(expr.operand)
-    elif isinstance(expr, Cast):
-        out += walk(expr.expr)
+        children = [expr.operand]
+    elif isinstance(expr, (Cast, IsNull, Like)):
+        children = [expr.expr]
     elif isinstance(expr, Substring):
-        out += walk(expr.expr) + walk(expr.start)
-        if expr.length is not None:
-            out += walk(expr.length)
+        children = [expr.expr, expr.start, expr.length]
     elif isinstance(expr, Func):
-        for a in expr.args:
-            out += walk(a)
+        children = list(expr.args)
     elif isinstance(expr, Case):
-        for cond, val in expr.whens:
-            out += walk(cond) + walk(val)
-        if expr.else_ is not None:
-            out += walk(expr.else_)
-    elif isinstance(expr, IsNull):
-        out += walk(expr.expr)
+        children = [n for when in expr.whens for n in when] + [expr.else_]
     elif isinstance(expr, Between):
-        out += walk(expr.expr) + walk(expr.low) + walk(expr.high)
+        children = [expr.expr, expr.low, expr.high]
     elif isinstance(expr, InList):
-        out += walk(expr.expr) + [i for it in expr.items for i in walk(it)]
-    elif isinstance(expr, Like):
-        out += walk(expr.expr)
-    return out
+        children = [expr.expr, *expr.items]
+    else:
+        children = []
+    for child in children:
+        if child is not None:
+            yield from walk(child)
 
 
 def contains_aggregate(expr) -> bool:

@@ -1,9 +1,18 @@
-"""Vectorized evaluator for the S3 Select SQL subset.
+"""Vectorized evaluator for the S3 Select SQL subset, over Arrow columns.
 
 Evaluates a parsed :class:`~repro.s3sim.sql_ast.Query` against one
-object's rows (a pandas frame). CSV objects arrive as all-string frames
-(see ``csvio``): values stay strings until a ``CAST`` or an implicit
-numeric coercion, mirroring S3 Select's handling of CSV fields.
+object's rows, a ``pyarrow.Table`` (a pandas frame is converted on
+entry). CSV objects arrive as all-``string`` tables (see ``csvio``):
+values stay strings until a ``CAST`` or an implicit numeric coercion,
+mirroring S3 Select's handling of CSV fields. Only the result becomes a
+pandas frame.
+
+Values take one of four forms while a request runs:
+
+* a scalar (a literal, or an expression over literals only);
+* a string vector: a ``pyarrow`` ``string`` array;
+* a numeric vector: a numpy ``int64`` or ``float64`` array, NaN = NULL;
+* a predicate: a ``pyarrow`` boolean array, null = NULL.
 
 Semantics notes (kept deliberately close to the real service):
 
@@ -12,42 +21,52 @@ Semantics notes (kept deliberately close to the real service):
 * If either comparison/arithmetic operand is numeric (a number literal
   or a ``CAST`` result), the other side is coerced to numeric;
   non-parseable cells become NULL and drop out of the result.
+  Coercion follows ``pandas.to_numeric(errors="coerce")``: surrounding
+  whitespace and a leading ``+`` are allowed, ``nan``/``inf`` parse,
+  and a column becomes ``int64`` only if every cell is an integer (no
+  NULL), else ``float64`` -- which decides how values render in CSV.
+  Decimals are parsed correctly rounded, as Python's ``float()`` does.
 * Empty CSV cells are NULL (``IS NULL``, skipped by aggregates).
 * Predicates follow SQL's three-valued logic. A comparison, ``BETWEEN``,
-  ``IN`` or ``LIKE`` over a NULL operand is NULL (a nullable ``boolean``
-  Series holding ``<NA>``), ``AND``/``OR``/``NOT`` combine these with
-  Kleene logic (``NOT NULL`` is NULL, ``NULL OR TRUE`` is TRUE), and
-  ``WHERE`` and ``CASE WHEN`` treat NULL as false -- so neither
-  ``WHERE p`` nor ``WHERE NOT p`` returns a row where ``p`` is NULL.
+  ``IN`` or ``LIKE`` over a NULL operand is NULL, ``AND``/``OR``/``NOT``
+  combine these with Kleene logic (``NOT NULL`` is NULL, ``NULL OR
+  TRUE`` is TRUE), and ``WHERE`` and ``CASE WHEN`` treat NULL as false
+  -- so neither ``WHERE p`` nor ``WHERE NOT p`` returns a row where
+  ``p`` is NULL.
 * ``CAST(x AS INT)`` rounds half away from zero, as DuckDB does:
   ``CAST('2.5' AS INT)`` is 3 and ``CAST('-1.5' AS INT)`` is -2; a
   non-numeric or empty ``x`` gives NULL. Results are float-backed,
   exact below 2**53.
+* A ``CASE`` whose branches are not all numbers (a string column, or a
+  ``NULL``) yields strings: each numeric branch value as Python renders
+  it, so the CSV result is the same as for a mixed-type column.
 * An aggregate query must be all-aggregates (no group-by exists, so a
   bare column next to ``SUM(...)`` is rejected) -- this is the
   restriction the paper's CASE-WHEN group-by works around.
 
 Each request evaluates every *distinct* subexpression once. The
-evaluator memoizes, per node, both the node's value and its numeric
-coercion, so the paper's wide queries cost what their distinct work
-costs: Q1's 36 ``SUM(CASE ...)`` columns share 6 conditions and 4
-``CAST``s, a hybrid group-by's ``g = v`` conditions share one
-``to_numeric(g)``, and a Bloom probe's k ``SUBSTRING`` hashes share one
-``CAST(key AS INT)`` and one character array of the bit-string literal.
-The memo is keyed by the AST nodes themselves, whose equality includes
-literal types (``c + 1`` and ``c + 1.0`` stay apart; see ``Literal``),
-and lives on the evaluator, i.e. for one request over one object only.
+evaluator memoizes, per node, the node's value, its numeric coercion
+and its string form with ``''`` as NULL, so the paper's wide queries
+cost what their distinct work costs: Q1's 36 ``SUM(CASE ...)`` columns
+share 6 conditions and 4 ``CAST``s, a hybrid group-by's ``g = v``
+conditions share one parse of ``g``, and a Bloom probe's k
+``SUBSTRING`` hashes share one ``CAST(key AS INT)``. The memo is keyed
+by the AST nodes themselves, whose equality includes literal types
+(``c + 1`` and ``c + 1.0`` stay apart; see ``Literal``), and lives on
+the evaluator, i.e. for one request over one object only.
 """
 from __future__ import annotations
 
-import re
+import operator
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from repro.s3sim.sql_ast import (
     AGG_FUNCS, Between, BinOp, Case, Cast, Column, Func, InList, IsNull,
-    Like, Literal, Query, Star, Substring, UnaryOp, contains_aggregate,
+    Like, Literal, Query, Substring, UnaryOp, contains_aggregate,
 )
 
 
@@ -55,20 +74,101 @@ class SqlEvalError(ValueError):
     """Raised for semantically invalid queries (bad column, mixed aggs...)."""
 
 
+_NULL_STRING = pa.scalar(None, pa.string())
+
+# What ``pandas.to_numeric`` accepts once whitespace is trimmed.
+_NUMBER = r"^[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:nan|inf|infinity))$"
+
+_ARITH = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,  # SQL MOD, used by the Bloom hash
+}
+_COMPARE = {
+    "=": (operator.eq, pc.equal), "!=": (operator.ne, pc.not_equal),
+    "<": (operator.lt, pc.less), "<=": (operator.le, pc.less_equal),
+    ">": (operator.gt, pc.greater), ">=": (operator.ge, pc.greater_equal),
+}
+
+
 # -- helpers --------------------------------------------------------------
 
+def _is_vector(v) -> bool:
+    return isinstance(v, (np.ndarray, pa.Array))
+
+
 def _is_numeric(v) -> bool:
-    if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
+    if isinstance(v, np.ndarray):
         return True
-    return isinstance(v, pd.Series) and pd.api.types.is_numeric_dtype(v)
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
-def _to_numeric(v):
-    if isinstance(v, pd.Series):
-        if pd.api.types.is_numeric_dtype(v):
-            return v
-        s = v.mask(v == "") if v.dtype == object else v
-        return pd.to_numeric(s, errors="coerce")
+def _is_null_scalar(v) -> bool:
+    return v is None or (isinstance(v, (float, np.floating)) and np.isnan(v))
+
+
+def _nan_mask(x: np.ndarray):
+    """Where a numeric vector is NULL, or None if it cannot be."""
+    return np.isnan(x) if x.dtype.kind == "f" else None
+
+
+def _data(text: pa.Array) -> np.ndarray:
+    """The UTF-8 bytes of a string array's values, as one uint8 array."""
+    if len(text) == 0:
+        return np.empty(0, dtype=np.uint8)
+    offsets = np.frombuffer(text.buffers()[1], dtype=np.int32)
+    lo, hi = offsets[text.offset], offsets[text.offset + len(text)]
+    if lo == hi:
+        return np.empty(0, dtype=np.uint8)
+    return np.frombuffer(text.buffers()[2], dtype=np.uint8)[lo:hi]
+
+
+def _cast_numbers(text: pa.Array):
+    """``text`` (NULL = empty cell) as int64, else float64; None if Arrow cannot cast it.
+
+    Int64 only when every cell is an integer. A failed cast is slow, so
+    the int64 cast is tried only when every byte is a digit or ``-``.
+    A float64 infinity that overflowed from a finite literal is NULL, as
+    in pandas.
+    """
+    if text.null_count == 0:
+        data = _data(text)
+        if (((data >= 48) & (data <= 57)) | (data == 45)).all():
+            try:
+                return pc.cast(text, pa.int64()).to_numpy()
+            except pa.ArrowInvalid:  # out of int64's range, or a stray '-'
+                pass
+    try:
+        x = pc.cast(text, pa.float64()).to_numpy(zero_copy_only=False)
+    except pa.ArrowInvalid:
+        return None
+    inf = np.isinf(x)
+    if inf.any():
+        spelled = pc.match_substring(text, "inf", ignore_case=True)
+        x = np.where(inf & ~_mask(spelled), np.nan, x)
+    return x
+
+
+def _parse_numbers(text: pa.Array) -> np.ndarray:
+    """Strings (NULL = empty cell) as numbers, like ``pandas.to_numeric(errors="coerce")``.
+
+    Arrow's casts take canonical cells directly. Otherwise -- a cell with
+    whitespace, a leading ``+`` or no number at all -- the cells are
+    trimmed, validated against pandas's grammar (the rest become NULL)
+    and cast again. Values are correctly rounded, where pandas's parser
+    can be an ulp off; and ``'0E624'`` is 0, where pandas rejects any
+    exponent past 308.
+    """
+    if not (_data(text) == ord("+")).any():
+        x = _cast_numbers(text)
+        if x is not None:
+            return x
+    text = pc.ascii_trim_whitespace(text)
+    text = pc.if_else(pc.match_substring_regex(text, _NUMBER), text, _NULL_STRING)
+    return _cast_numbers(pc.utf8_ltrim(text, characters="+"))
+
+
+def _scalar_number(v):
+    """A scalar coerced to a number (None stays None, junk is NaN)."""
     if v is None or isinstance(v, (int, float, np.integer, np.floating)):
         return v
     try:
@@ -78,75 +178,146 @@ def _to_numeric(v):
         return np.nan
 
 
-def _null_mask(v, index) -> pd.Series:
-    if isinstance(v, pd.Series):
-        if pd.api.types.is_numeric_dtype(v):
-            return v.isna()
-        return v.isna() | (v == "")
-    return pd.Series(v is None or (isinstance(v, float) and np.isnan(v)), index=index)
-
-
-def _as_mask(v, index) -> pd.Series:
-    """Coerce an evaluated boolean expression to a NULL-is-False mask."""
-    if isinstance(v, pd.Series):
-        if v.dtype == bool:
-            return v
-        return v.fillna(False).astype(bool)
-    return pd.Series(bool(v), index=index)
-
-
-def _bool3(v, index) -> pd.Series:
-    """A predicate's value as a nullable ``boolean`` Series (NULL = ``<NA>``)."""
-    if isinstance(v, pd.Series) and v.dtype == "boolean":
+def _as_strings(v) -> pa.Array:
+    """A vector as a string array: numbers as Python renders them, NaN as NULL."""
+    if isinstance(v, np.ndarray):
+        return pa.array(v.astype(str), type=pa.string(), mask=_nan_mask(v))
+    if pa.types.is_string(v.type):
         return v
+    return pc.cast(v, pa.string())
+
+
+def _nulled(text: pa.Array) -> pa.Array:
+    """A string array with ``''`` read as NULL."""
+    return pc.if_else(pc.equal(text, ""), _NULL_STRING, text)
+
+
+def _predicate(v, n: int) -> pa.Array:
+    """A value as a three-valued predicate of ``n`` rows."""
+    if isinstance(v, pa.Array):
+        if pa.types.is_boolean(v.type):
+            return v
+        return pc.fill_null(pc.not_equal(_as_strings(v), ""), False)
+    if isinstance(v, np.ndarray):
+        nulls = _nan_mask(v)
+        return pa.array(v != 0 if nulls is None else (v != 0) & ~nulls)
     if v is None:
-        return pd.Series(pd.NA, index=index, dtype="boolean")
-    return _as_mask(v, index).astype("boolean")
+        return pa.nulls(n, pa.bool_())
+    return pa.array(np.full(n, bool(v)))
 
 
-def _with_nulls(m: pd.Series, nulls: pd.Series) -> pd.Series:
-    """The boolean mask ``m``, NULL wherever ``nulls`` holds."""
-    n = nulls.to_numpy()
-    return pd.Series(pd.arrays.BooleanArray(m.to_numpy() & ~n, n), index=m.index)
+def _mask(pred: pa.Array) -> np.ndarray:
+    """A predicate as a numpy mask, NULL = false."""
+    return pc.fill_null(pred, False).to_numpy(zero_copy_only=False)
 
 
 def _round_half_away(n):
     """Round half away from zero: 2.5 -> 3, -1.5 -> -2, -0.3 -> 0 (not -0)."""
     a = np.abs(n)
     r = np.floor(a)
-    r = r + (a - r >= 0.5)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        r = r + (a - r >= 0.5)
     return np.copysign(r, n) + 0.0
 
 
-def _like_to_regex(pattern: str) -> str:
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return "^" + "".join(out) + "$"
+def _arith(op: str, a, b):
+    if op == "%":
+        return _mod(a, b)
+    with np.errstate(all="ignore"):
+        return _ARITH[op](a, b)
+
+
+def _mod(a, b):
+    """``a % b`` with pandas's semantics: numpy's floor remainder, NULL for int MOD 0.
+
+    A float64 vector of integers (a ``CAST(k AS INT)``, as in the Bloom
+    probe's hash) MOD a positive integer is taken in int64, which gives
+    the same floats about ten times faster than a float remainder.
+    """
+    if (
+        isinstance(a, np.ndarray) and a.dtype.kind == "f"
+        and isinstance(b, (int, np.integer)) and not isinstance(b, bool) and b > 0
+    ):
+        nan = np.isnan(a)
+        has_nan = nan.any()
+        z = np.where(nan, 0.0, a) if has_nan else a
+        with np.errstate(invalid="ignore"):
+            ints = z.astype(np.int64)
+        if (ints == z).all() and (np.abs(z) <= 2.0**53).all():
+            out = (ints % b).astype(np.float64)
+            return np.where(nan, np.nan, out) if has_nan else out
+    with np.errstate(all="ignore"):
+        out = a % b
+    if isinstance(out, np.ndarray) and out.dtype.kind == "i":
+        zero = np.equal(b, 0)
+        if zero.any():  # pandas: integer MOD by zero is NULL
+            out = np.where(zero, np.nan, out)
+    return out
+
+
+def _like_pattern(pattern: str) -> str:
+    """Our LIKE has no escape character; Arrow's treats ``\\`` as one."""
+    return pattern.replace("\\", "\\\\")
+
+
+def _picked_chars(s: str, pos: np.ndarray) -> pa.Array:
+    """Per row, the character of ``s`` at 1-based ``pos``, or ``''`` if out of range."""
+    valid = np.isfinite(pos) & (pos >= 1) & (pos <= len(s))
+    safe = np.where(valid, pos - 1, 0).astype(np.int64)
+    if not s.isascii():
+        chars = np.frombuffer(s.encode("utf-32-le"), dtype="<U1")
+        return pa.array(np.where(valid, chars[safe], ""), type=pa.string())
+    data = np.frombuffer(s.encode(), dtype=np.uint8)[safe[valid]]
+    offsets = np.zeros(len(pos) + 1, dtype=np.int32)
+    np.cumsum(valid, out=offsets[1:])
+    return pa.StringArray.from_buffers(
+        len(pos), pa.py_buffer(offsets), pa.py_buffer(data.tobytes())
+    )
+
+
+def _column(v, n: int) -> pd.Series:
+    """One result column as the pandas Series the result frame holds."""
+    if isinstance(v, np.ndarray):
+        return pd.Series(v)
+    if isinstance(v, pa.Array):  # predicates become nullable booleans
+        return v.to_pandas(types_mapper={pa.bool_(): pd.BooleanDtype()}.get)
+    return pd.Series(v, index=pd.RangeIndex(n))
+
+
+def _vector(col: pa.ChunkedArray):
+    """A stored column as an evaluator value."""
+    arr = col.combine_chunks() if col.num_chunks != 1 else col.chunk(0)
+    if arr.offset:  # pyarrow 16's if_else mangles sliced string arrays
+        arr = pa.concat_arrays([arr])
+    t = arr.type
+    if pa.types.is_integer(t) and arr.null_count == 0:
+        return arr.to_numpy().astype(np.int64, copy=False)
+    if pa.types.is_integer(t) or pa.types.is_floating(t):
+        return pc.cast(arr, pa.float64()).to_numpy(zero_copy_only=False)
+    if pa.types.is_string(t) or pa.types.is_boolean(t):
+        return arr
+    return pc.cast(arr, pa.string())
 
 
 class _Evaluator:
-    """Evaluates expressions over one frame, each distinct node once."""
+    """Evaluates expressions over one table, each distinct node once."""
 
-    def __init__(self, df: pd.DataFrame):
-        self.df = df
-        self.colmap = {c.lower(): c for c in df.columns}
+    def __init__(self, table: pa.Table):
+        self.table = table
+        self.n = table.num_rows
+        self.colmap = {c.lower(): c for c in table.column_names}
         self._values: dict = {}   # node -> its value
         self._numbers: dict = {}  # node -> its value coerced to numeric
-        self._chars: dict = {}    # string literal -> its character array
+        self._texts: dict = {}    # node -> its string vector, '' as NULL
+        self._masks: dict = {}    # predicate node -> its numpy mask
 
-    def col(self, name: str) -> pd.Series:
+    def col(self, name: str):
         actual = self.colmap.get(name.lower())
         if actual is None:
             raise SqlEvalError(
-                f"no such column {name!r}; have {sorted(self.df.columns)}"
+                f"no such column {name!r}; have {sorted(self.table.column_names)}"
             )
-        return self.df[actual]
+        return _vector(self.table.column(actual))
 
     # -- expression dispatch ---------------------------------------------
 
@@ -166,8 +337,47 @@ class _Evaluator:
         try:
             return self._numbers[e]
         except KeyError:
-            v = self._numbers[e] = _to_numeric(self.eval(e))
+            pass
+        v = self.eval(e)
+        if isinstance(v, np.ndarray):
+            out = v
+        elif isinstance(v, pa.Array) and pa.types.is_boolean(v.type):
+            out = pc.cast(v, pa.int64()).to_numpy(zero_copy_only=False)
+        elif isinstance(v, pa.Array):
+            out = _parse_numbers(self.text(e))
+        else:
+            out = _scalar_number(v)
+        self._numbers[e] = out
+        return out
+
+    def text(self, e) -> pa.Array:
+        """``eval(e)``, a vector, as strings with ``''`` as NULL (memoized)."""
+        try:
+            return self._texts[e]
+        except KeyError:
+            v = self._texts[e] = _nulled(_as_strings(self.eval(e)))
             return v
+
+    def pred(self, e) -> pa.Array:
+        return _predicate(self.eval(e), self.n)
+
+    def mask(self, e) -> np.ndarray:
+        """``pred(e)`` as a numpy mask, NULL = false (memoized)."""
+        try:
+            return self._masks[e]
+        except KeyError:
+            m = self._masks[e] = _mask(self.pred(e))
+            return m
+
+    def nulls(self, e) -> pa.Array:
+        """Where ``eval(e)`` is NULL, as a (non-null) boolean array."""
+        v = self.eval(e)
+        if isinstance(v, np.ndarray):
+            m = _nan_mask(v)
+            return pa.array(np.zeros(self.n, dtype=bool) if m is None else m)
+        if isinstance(v, pa.Array):
+            return pc.is_null(v if pa.types.is_boolean(v.type) else self.text(e))
+        return pa.array(np.full(self.n, _is_null_scalar(v)))
 
     def _eval_literal(self, e: Literal):
         return e.value
@@ -177,116 +387,94 @@ class _Evaluator:
 
     def _eval_unaryop(self, e: UnaryOp):
         if e.op == "NOT":
-            return ~_bool3(self.eval(e.operand), self.df.index)
+            return pc.invert(self.pred(e.operand))
         v = self.num(e.operand)
         return -v if e.op == "-" else v
 
     def _eval_binop(self, e: BinOp):
         if e.op in ("AND", "OR"):
-            lm = _bool3(self.eval(e.left), self.df.index)
-            rm = _bool3(self.eval(e.right), self.df.index)
-            return (lm & rm) if e.op == "AND" else (lm | rm)
-        if e.op in ("+", "-", "*", "/", "%"):
-            left, right = self.num(e.left), self.num(e.right)
-            if e.op == "+":
-                return left + right
-            if e.op == "-":
-                return left - right
-            if e.op == "*":
-                return left * right
-            if e.op == "/":
-                return left / right
-            return left % right  # SQL MOD via '%', used by the Bloom hash
+            kleene = pc.and_kleene if e.op == "AND" else pc.or_kleene
+            return kleene(self.pred(e.left), self.pred(e.right))
+        if e.op in _ARITH:
+            return _arith(e.op, self.num(e.left), self.num(e.right))
         # comparison: numeric if either side is numeric, else lexicographic
         left, right = self.eval(e.left), self.eval(e.right)
-        if _is_numeric(left) or _is_numeric(right):
+        py_op, arrow_op = _COMPARE[e.op]
+        numeric = _is_numeric(left) or _is_numeric(right)
+        if numeric:
             left, right = self.num(e.left), self.num(e.right)
-        nulls = _null_mask(left, self.df.index) | _null_mask(right, self.df.index)
-        ops = {
-            "=": lambda a, b: a == b,
-            "!=": lambda a, b: a != b,
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b,
-            ">=": lambda a, b: a >= b,
-        }
-        if not isinstance(left, pd.Series) and not isinstance(right, pd.Series):
-            return None if nulls.any() else bool(ops[e.op](left, right))
-        res = ops[e.op](left, right)
-        return _with_nulls(_as_mask(res, self.df.index), nulls)
+        if not _is_vector(left) and not _is_vector(right):
+            if _is_null_scalar(left) or _is_null_scalar(right):
+                return None
+            return bool(py_op(left, right))
+        if _is_null_scalar(left) or _is_null_scalar(right):
+            return pa.nulls(self.n, pa.bool_())
+        if numeric:
+            with np.errstate(invalid="ignore"):
+                res = py_op(left, right)
+            nulls = [m for m in (
+                _nan_mask(x) for x in (left, right) if isinstance(x, np.ndarray)
+            ) if m is not None]
+            return pa.array(res, mask=np.logical_or.reduce(nulls) if nulls else None)
+        lt = self.text(e.left) if _is_vector(left) else left
+        rt = self.text(e.right) if _is_vector(right) else right
+        return arrow_op(lt, rt)
 
     def _eval_cast(self, e: Cast):
         if e.type in ("INT", "INTEGER", "BIGINT"):
             n = self.num(e.expr)
-            if isinstance(n, pd.Series):
+            if isinstance(n, np.ndarray):
                 return _round_half_away(n)
-            if n is None or np.isnan(n):
+            if _is_null_scalar(n):
                 return None
             return int(_round_half_away(n))
         if e.type in ("FLOAT", "DOUBLE", "DECIMAL", "NUMERIC"):
             return self.num(e.expr)
         v = self.eval(e.expr)
         if e.type in ("STRING", "CHAR", "VARCHAR", "TIMESTAMP"):
-            if isinstance(v, pd.Series):
-                return v.astype(str)
+            if _is_vector(v):
+                return _as_strings(v)
             return None if v is None else str(v)
         if e.type == "BOOL":
-            return _as_mask(v, self.df.index)
+            return pc.fill_null(self.pred(e.expr), False)
         raise SqlEvalError(f"unsupported CAST type {e.type!r}")
-
-    def _char_array(self, s: str) -> np.ndarray:
-        """``s`` as a ``<U1`` array, built once per distinct literal."""
-        chars = self._chars.get(s)
-        if chars is None:
-            chars = self._chars[s] = np.frombuffer(
-                s.encode("utf-32-le"), dtype="<U1"
-            )
-        return chars
 
     def _eval_substring(self, e: Substring):
         s = self.eval(e.expr)
         start = self.eval(e.start)
         length = None if e.length is None else self.eval(e.length)
-        # Fast path for the paper's Bloom filter probe: a *literal* bit
-        # string indexed at a per-row position with length 1.
-        if (
-            isinstance(s, str)
-            and isinstance(start, pd.Series)
-            and (length == 1 or length is None)
-        ):
-            chars = self._char_array(s)
-            idx = self.num(e.start).to_numpy(dtype="float64")
-            valid = np.isfinite(idx) & (idx >= 1) & (idx <= len(chars))
-            safe = np.where(valid, idx - 1, 0).astype(np.int64)
+        if isinstance(s, str) and _is_vector(start):
+            pos = self.num(e.start).astype(np.float64)
+            # The paper's Bloom filter probe: one character of a literal
+            # bit string at a per-row position.
             if length == 1:
-                out = np.where(valid, chars[safe], "")
-            else:  # tail substring of a literal, per-row start
-                out = np.array(
-                    [s[i:] if ok else "" for ok, i in zip(valid, safe)], dtype=object
+                return _picked_chars(s, pos)
+            if length is None:  # tail substring of a literal, per-row start
+                ok = np.isfinite(pos) & (pos >= 1) & (pos <= len(s))
+                return pa.array(
+                    [s[int(p) - 1:] if k else "" for k, p in zip(ok, pos)],
+                    type=pa.string(),
                 )
-            return pd.Series(out, index=start.index)
-        if isinstance(s, pd.Series):
+        if _is_vector(s):
+            strings = _as_strings(s)
             start_n = self.num(e.start)
-            if isinstance(start_n, pd.Series):
-                start_n = start_n.astype(int)
-                starts = start_n
-            else:
-                starts = pd.Series(int(start_n), index=s.index)
-            if length is None:
-                return pd.Series(
-                    [str(v)[max(p - 1, 0):] for v, p in zip(s, starts)], index=s.index
+            len_n = None if e.length is None else self.num(e.length)
+            if _is_vector(start_n) or _is_vector(len_n):
+                starts = np.broadcast_to(np.asarray(start_n).astype(int), (self.n,))
+                lens = (
+                    [None] * self.n if len_n is None
+                    else np.broadcast_to(np.asarray(len_n).astype(int), (self.n,))
                 )
-            len_n = self.num(e.length)
-            lens = (
-                len_n.astype(int)
-                if isinstance(len_n, pd.Series)
-                else pd.Series(int(len_n), index=s.index)
-            )
-            return pd.Series(
-                [str(v)[max(p - 1, 0): max(p - 1, 0) + L]
-                 for v, p, L in zip(s, starts, lens)],
-                index=s.index,
-            )
+                return pa.array(
+                    [None if v is None else
+                     v[max(p - 1, 0):] if L is None else v[max(p - 1, 0): max(p - 1, 0) + L]
+                     for v, p, L in zip(strings.to_pylist(), starts, lens)],
+                    type=pa.string(),
+                )
+            begin = max(int(start_n) - 1, 0)
+            if len_n is None:
+                return pc.utf8_slice_codeunits(strings, begin)
+            return pc.utf8_slice_codeunits(strings, begin, begin + int(len_n))
         # scalar string, scalar positions
         p = int(self.num(e.start))
         if length is None:
@@ -294,103 +482,125 @@ class _Evaluator:
         return str(s)[max(p - 1, 0): max(p - 1, 0) + int(self.num(e.length))]
 
     def _eval_case(self, e: Case):
-        conds = [
-            _as_mask(self.eval(c), self.df.index).to_numpy() for c, _ in e.whens
-        ]
+        conds = [self.mask(c) for c, _ in e.whens]
         nodes = [v for _, v in e.whens]
         nodes.append(Literal(0) if e.else_ is None else e.else_)
         vals = [self.eval(v) for v in nodes]
-        if all(_is_numeric(v) or v is None for v in vals):
+        if all(_is_numeric(v) for v in vals):
             vals = [self.num(v) for v in nodes]
-        vals = [v.to_numpy() if isinstance(v, pd.Series) else v for v in vals]
-        out = np.select(conds, vals[:-1], vals[-1])
-        return pd.Series(out, index=self.df.index)
+            if len(conds) == 1:  # same result as np.select, without its overhead
+                return np.where(conds[0], vals[0], vals[1])
+            return np.select(conds, vals[:-1], vals[-1])
+        # Mixed branches: each value as the string it renders as.
+        cases = [
+            _as_strings(v) if _is_vector(v)
+            else _NULL_STRING if _is_null_scalar(v) else pa.scalar(str(v))
+            for v in vals
+        ]
+        which = pa.StructArray.from_arrays(
+            [pa.array(c) for c in conds], [str(i) for i in range(len(conds))]
+        )
+        return pc.case_when(which, *cases)
 
     def _eval_isnull(self, e: IsNull):
-        m = _null_mask(self.eval(e.expr), self.df.index)
-        return ~m if e.negated else m
+        m = self.nulls(e.expr)
+        return pc.invert(m) if e.negated else m
 
     def _eval_between(self, e: Between):
         lo = BinOp(">=", e.expr, e.low)
         hi = BinOp("<=", e.expr, e.high)
-        m = self.eval(BinOp("AND", lo, hi))
-        return ~m if e.negated else m
+        m = self.pred(BinOp("AND", lo, hi))
+        return pc.invert(m) if e.negated else m
 
     def _eval_inlist(self, e: InList):
-        m = _bool3(False, self.df.index)
+        m = pa.array(np.zeros(self.n, dtype=bool))
         for item in e.items:
-            m = m | _bool3(self.eval(BinOp("=", e.expr, item)), self.df.index)
-        return ~m if e.negated else m
+            m = pc.or_kleene(m, self.pred(BinOp("=", e.expr, item)))
+        return pc.invert(m) if e.negated else m
 
     def _eval_like(self, e: Like):
         v = self.eval(e.expr)
-        rx = _like_to_regex(e.pattern)
-        if isinstance(v, pd.Series):
-            m = _with_nulls(
-                v.astype(str).str.match(rx, na=False), _null_mask(v, self.df.index)
-            )
+        pattern = _like_pattern(e.pattern)
+        if _is_vector(v):
+            m = pc.match_like(self.text(e.expr), pattern)
+        elif v is None:
+            m = pa.nulls(self.n, pa.bool_())
         else:
-            m = _bool3(None if v is None else bool(re.match(rx, str(v))), self.df.index)
-        return ~m if e.negated else m
+            hit = pc.match_like(pa.array([str(v)]), pattern)[0].as_py()
+            m = pa.array(np.full(self.n, hit))
+        return pc.invert(m) if e.negated else m
 
     def _eval_func(self, e: Func):
         if e.name in AGG_FUNCS:
             return self._eval_aggregate(e)
         v = self.eval(e.args[0])
-        if e.name == "UPPER":
-            return v.str.upper() if isinstance(v, pd.Series) else str(v).upper()
-        if e.name == "LOWER":
-            return v.str.lower() if isinstance(v, pd.Series) else str(v).lower()
+        if e.name in ("UPPER", "LOWER"):
+            if _is_vector(v):
+                kernel = pc.utf8_upper if e.name == "UPPER" else pc.utf8_lower
+                return kernel(_as_strings(v))
+            return str(v).upper() if e.name == "UPPER" else str(v).lower()
         if e.name == "ABS":
-            n = self.num(e.args[0])
-            return n.abs() if isinstance(n, pd.Series) else abs(n)
+            return abs(self.num(e.args[0]))
         raise SqlEvalError(f"unsupported function {e.name}")
 
     def _eval_aggregate(self, e: Func):
         if e.name == "COUNT" and e.star:
-            return len(self.df)
-        if contains_aggregate(e.args[0]):
+            return self.n
+        arg = e.args[0]
+        if contains_aggregate(arg):
             raise SqlEvalError("nested aggregates are not supported")
-        v = self.eval(e.args[0])
-        scalar = not isinstance(v, pd.Series)
-        if scalar:
-            v = pd.Series(v, index=self.df.index)
+        v = self.eval(arg)
         if e.name == "COUNT":
-            return int((~_null_mask(v, self.df.index)).sum())
+            return self.n - pc.sum(self.nulls(arg)).as_py() if self.n else 0
         if e.name in ("SUM", "AVG"):
-            n = _to_numeric(v) if scalar else self.num(e.args[0])
-            if len(n) == 0 or n.isna().all():
+            n = self.num(arg)
+            if not isinstance(n, np.ndarray):
+                n = np.full(self.n, np.nan if n is None else n)
+            nulls = _nan_mask(n)
+            count = len(n) if nulls is None else len(n) - int(nulls.sum())
+            if count == 0:
                 return None  # SQL: SUM/AVG over no rows is NULL
-            return float(n.sum()) if e.name == "SUM" else float(n.mean())
+            if nulls is not None:
+                n = np.where(nulls, 0.0, n)
+            if e.name == "SUM":
+                return float(n.sum())
+            return float(n.sum(dtype=np.float64) / count)
         # MIN/MAX work on strings (dates) and numbers alike
-        vv = v.mask(v == "") if v.dtype == object else v
-        vv = vv.dropna()
-        if len(vv) == 0:
+        if isinstance(v, np.ndarray):
+            nulls = _nan_mask(v)
+            vv = v if nulls is None else v[~nulls]
+            if len(vv) == 0:
+                return None
+            return vv.min() if e.name == "MIN" else vv.max()
+        if isinstance(v, pa.Array):
+            mm = pc.min_max(self.text(arg))
+            return mm["min" if e.name == "MIN" else "max"].as_py()
+        if self.n == 0 or _is_null_scalar(v) or v == "":
             return None
-        return vv.min() if e.name == "MIN" else vv.max()
+        return v
 
 
-def eval_query(query: Query, df: pd.DataFrame) -> pd.DataFrame:
+def _table(df) -> pa.Table:
+    if isinstance(df, pa.Table):
+        return df
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def eval_query(query: Query, df) -> pd.DataFrame:
     """Run a parsed query over one object's rows; returns the result frame.
 
-    Aggregate queries return exactly one row. Projection queries return
-    the filtered/projected rows with ``LIMIT`` applied last.
+    ``df`` is a ``pyarrow.Table`` (as decoded by ``csvio`` or
+    ``parquetio``) or a pandas frame. Aggregate queries return exactly
+    one row. Projection queries return the filtered/projected rows with
+    ``LIMIT`` applied last.
     """
-    ev = _Evaluator(df)
+    table = _table(df)
+    ev = _Evaluator(table)
     if query.where is not None:
         if contains_aggregate(query.where):
             raise SqlEvalError("aggregates are not allowed in WHERE")
-        mask = _as_mask(ev.eval(query.where), df.index)
-        sub = df[mask]
-    else:
-        sub = df
-    sub_ev = _Evaluator(sub)
-
-    if query.is_star:
-        out = sub.copy()
-        if query.limit is not None:
-            out = out.head(query.limit)
-        return out.reset_index(drop=True)
+        table = table.filter(ev.pred(query.where))
+        ev = _Evaluator(table)
 
     agg_flags = [contains_aggregate(it.expr) for it in query.items]
     if any(agg_flags):
@@ -399,25 +609,23 @@ def eval_query(query: Query, df: pd.DataFrame) -> pd.DataFrame:
                 "cannot mix aggregates and plain columns without GROUP BY "
                 "(S3 Select has no GROUP BY)"
             )
-        row = {}
-        for i, it in enumerate(query.items):
-            name = it.alias or f"_{i + 1}"
-            row[name] = sub_ev.eval(it.expr)
-        return pd.DataFrame([row])
+        return pd.DataFrame([
+            {it.alias or f"_{i + 1}": ev.eval(it.expr)
+             for i, it in enumerate(query.items)}
+        ])
+
+    # Rows are independent, so LIMIT can cut them before projecting.
+    if query.limit is not None and query.limit < table.num_rows:
+        table = table.slice(0, query.limit)
+        ev = _Evaluator(table)
+    if query.is_star:
+        return table.to_pandas()
 
     cols = {}
     for i, it in enumerate(query.items):
         if isinstance(it.expr, Column):
-            name = it.alias or sub_ev.colmap.get(
-                it.expr.name.lower(), it.expr.name
-            )
+            name = it.alias or ev.colmap.get(it.expr.name.lower(), it.expr.name)
         else:
             name = it.alias or f"_{i + 1}"
-        v = sub_ev.eval(it.expr)
-        if not isinstance(v, pd.Series):
-            v = pd.Series(v, index=sub.index)
-        cols[name] = v
-    out = pd.DataFrame(cols, index=sub.index)
-    if query.limit is not None:
-        out = out.head(query.limit)
-    return out.reset_index(drop=True)
+        cols[name] = _column(ev.eval(it.expr), ev.n)
+    return pd.DataFrame(cols, index=pd.RangeIndex(ev.n))

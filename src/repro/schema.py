@@ -6,15 +6,18 @@ s STRING"``). CSV objects hold only strings, so every compute-side reader
 types the rows it receives with :func:`typed_column`, one column at a
 time, or :func:`apply_schema`, a whole frame:
 
-* ``BIGINT``/``INT``    -> ``int64``
+* ``BIGINT``/``INT``    -> ``int64``; ``float64`` if a cell is NULL
 * ``DOUBLE``/``FLOAT``  -> ``float64`` (also when the column is empty)
 * anything else        -> ``str`` (an ``object`` column)
 
+An empty or non-numeric cell of a numeric column is NULL: NaN in the
+frame, ``None`` in the rows the DataSource yields (:func:`spark_values`).
 These are the dtypes ``DataFrame.toPandas()`` returns for the same table.
 This module imports neither ``core`` nor ``datasource``, so both use it.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 _INTEGRAL = ("BIGINT", "INT")
@@ -43,10 +46,20 @@ def typed_column(s: pd.Series, sql_type: str) -> pd.Series:
     """One all-string column as the DDL type ``sql_type`` (case-insensitive)."""
     t = sql_type.upper()
     if t in _INTEGRAL:
-        return pd.to_numeric(s, errors="coerce").astype("int64")
+        n = pd.to_numeric(s, errors="coerce")
+        return n.astype("float64" if n.isna().any() else "int64")
     if t in _FRACTIONAL:
         return pd.to_numeric(s, errors="coerce").astype("float64")
     return s.astype(str)
+
+
+def spark_values(s: pd.Series, sql_type: str) -> list:
+    """``typed_column(s, sql_type)`` as the Python values of Spark rows (NULL is None)."""
+    col = typed_column(s, sql_type)
+    if col.dtype != "float64" or not col.isna().any():
+        return col.tolist()
+    num = int if sql_type.upper() in _INTEGRAL else float
+    return [None if np.isnan(v) else num(v) for v in col.tolist()]
 
 
 def apply_schema(pdf: pd.DataFrame, ddl: str) -> pd.DataFrame:

@@ -1,5 +1,6 @@
 """Unit tests for repro.s3sim.csvio (wire format + byte offsets)."""
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.s3sim import csvio
@@ -12,20 +13,20 @@ def frame():
 
 def test_roundtrip_is_stringly(frame):
     out = csvio.from_csv_bytes(csvio.to_csv_bytes(frame))
-    assert list(out.columns) == ["a", "b"]
-    assert out["a"].tolist() == ["1", "2", "3"]  # untyped, like S3 Select CSV
+    assert out.column_names == ["a", "b"]
+    assert out["a"].to_pylist() == ["1", "2", "3"]  # untyped, like S3 Select CSV
 
 
 def test_empty_cells_become_empty_strings():
     df = pd.DataFrame({"a": ["1", "", "3"]})
     out = csvio.from_csv_bytes(csvio.to_csv_bytes(df))
-    assert out["a"].tolist() == ["1", "", "3"]
+    assert out["a"].to_pylist() == ["1", "", "3"]
 
 
 def test_headerless_roundtrip(frame):
     data = csvio.to_csv_bytes(frame, header=False)
     out = csvio.from_csv_bytes(data, header=False, columns=["a", "b"])
-    assert out["b"].tolist() == ["x", "y", "z"]
+    assert out["b"].to_pylist() == ["x", "y", "z"]
 
 
 def test_row_byte_offsets_cover_all_rows(frame):
@@ -75,14 +76,14 @@ def test_parse_rows_empty():
 def test_values_with_commas_quoted():
     df = pd.DataFrame({"a": ["x,y", 'say "hi"', "two\nlines", "z"], "b": list("1234")})
     out = csvio.from_csv_bytes(csvio.to_csv_bytes(df))
-    assert out["a"].tolist() == ["x,y", 'say "hi"', "two\nlines", "z"]
-    assert out["b"].tolist() == ["1", "2", "3", "4"]
+    assert out["a"].to_pylist() == ["x,y", 'say "hi"', "two\nlines", "z"]
+    assert out["b"].to_pylist() == ["1", "2", "3", "4"]
 
 
 def test_float_rendering_stable():
     df = pd.DataFrame({"v": [0.5, 1.25]})
     out = csvio.from_csv_bytes(csvio.to_csv_bytes(df))
-    assert out["v"].tolist() == ["0.5", "1.25"]
+    assert out["v"].to_pylist() == ["0.5", "1.25"]
 
 
 # -- decoder contract: S3 Select CSV fields are untyped strings ------------
@@ -90,33 +91,36 @@ def test_float_rendering_stable():
 def test_null_like_tokens_stay_literal():
     data = b"a,b\nNA,null\nNaN,N/A\n"
     out = csvio.from_csv_bytes(data)
-    assert out["a"].tolist() == ["NA", "NaN"]
-    assert out["b"].tolist() == ["null", "N/A"]
+    assert out["a"].to_pylist() == ["NA", "NaN"]
+    assert out["b"].to_pylist() == ["null", "N/A"]
 
 
 def test_leading_zeros_and_spaces_kept():
     data = b"a,b\n007, x \n-0.50,  \n"
     out = csvio.from_csv_bytes(data)
-    assert out["a"].tolist() == ["007", "-0.50"]
-    assert out["b"].tolist() == [" x ", "  "]
+    assert out["a"].to_pylist() == ["007", "-0.50"]
+    assert out["b"].to_pylist() == [" x ", "  "]
 
 
 def test_quoted_empty_cell_is_empty_string():
     out = csvio.from_csv_bytes(b'a,b\n"",x\n,""\n')
-    assert out["a"].tolist() == ["", ""]
-    assert out["b"].tolist() == ["x", ""]
+    assert out["a"].to_pylist() == ["", ""]
+    assert out["b"].to_pylist() == ["x", ""]
 
 
 def test_header_only_object_has_columns_and_no_rows():
     out = csvio.from_csv_bytes(b"a,b,c\n")
-    assert list(out.columns) == ["a", "b", "c"]
+    assert out.column_names == ["a", "b", "c"]
     assert len(out) == 0
 
 
 def test_every_column_is_str():
     data = b"i,f,s,e\n1,2.5,x,\n3,-0.0,y,NA\n"
+    table = csvio.from_csv_bytes(data)
+    assert all(pa.types.is_string(t) for t in table.schema.types)
+    assert all(table[c].null_count == 0 for c in table.column_names)
     for out in (
-        csvio.from_csv_bytes(data),
+        table.to_pandas(),
         csvio.parse_rows(data.split(b"\n", 1)[1], ["i", "f", "s", "e"]),
     ):
         assert all(out[c].dtype == object for c in out.columns)
@@ -128,11 +132,11 @@ def test_every_column_is_str():
 def test_select_keeps_named_columns_case_insensitively():
     data = b"Aa,b,c\n1,x,p\n2,y,q\n"
     out = csvio.from_csv_bytes(data, select=["c", "aa"])
-    assert list(out.columns) == ["c", "Aa"]
-    assert out["Aa"].tolist() == ["1", "2"]
+    assert out.column_names == ["c", "Aa"]
+    assert out["Aa"].to_pylist() == ["1", "2"]
 
 
 def test_select_unknown_or_empty_keeps_every_column():
     data = b"a,b\n1,x\n"
-    assert list(csvio.from_csv_bytes(data, select=["a", "nope"]).columns) == ["a", "b"]
-    assert list(csvio.from_csv_bytes(data, select=[]).columns) == ["a", "b"]
+    assert csvio.from_csv_bytes(data, select=["a", "nope"]).column_names == ["a", "b"]
+    assert csvio.from_csv_bytes(data, select=[]).column_names == ["a", "b"]

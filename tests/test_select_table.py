@@ -131,3 +131,30 @@ def test_to_spark_equals_datasource_read(spark, store, tpch, empty):
     assert got.dtypes.to_dict() == want.dtypes.to_dict()
     pd.testing.assert_frame_equal(got, want)
     assert got_usage == want_usage
+
+
+def test_null_in_numeric_columns_has_one_defined_result(spark, fresh_store):
+    """Empty BIGINT and DOUBLE cells are NULL on every path.
+
+    An empty BIGINT cell used to crash both paths, and an empty DOUBLE
+    cell reached Spark as NaN, so ``v IS NULL`` matched it only when the
+    filter was pushed down.
+    """
+    pdf = pd.DataFrame({
+        "k": pd.array([1, None, 3, 4], dtype="Int64"),
+        "v": [0.5, None, 2.5, None],
+        "s": ["a", "b", "c", "d"],
+    })
+    t = write_table(fresh_store, "nullable", pdf, n_partitions=2)
+    assert t.schema_ddl == "k BIGINT, v DOUBLE, s STRING"
+    got = select_table(fresh_store, t, ["k", "v", "s"])
+    assert got["k"].dtype == "float64"
+    assert got["k"].isna().tolist() == [False, True, False, False]
+    df = read_table(spark, fresh_store.root, "nullable", columns=["k", "v", "s"])
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(df.toPandas()))
+    rows = {r["s"]: (r["k"], r["v"]) for r in df.collect()}
+    assert rows == {"a": (1, 0.5), "b": (None, None), "c": (3, 2.5), "d": (4, None)}
+    for pushdown in (True, False):
+        scan = read_table(spark, fresh_store.root, "nullable", pushdown=pushdown)
+        assert scan.filter("v IS NULL").count() == 2
+        assert scan.filter("k IS NULL").count() == 1

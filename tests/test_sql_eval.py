@@ -7,11 +7,13 @@ equivalent (typed) query over the same rows.
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.bloom import build_from_keys
 from repro.s3sim import sql_eval
 from repro.s3sim.csvio import to_csv_bytes
+from repro.s3sim.sql_ast import Column
 from repro.s3sim.sql_eval import SqlEvalError, eval_query
 from repro.s3sim.sql_parser import parse
 
@@ -494,14 +496,15 @@ def test_int_and_float_literals_are_not_shared():
 def coerced(monkeypatch):
     """Names of the string columns the evaluator parses as numbers."""
     names = []
-    real = sql_eval._to_numeric
+    real = sql_eval._Evaluator.num
 
-    def counting(v):
-        if isinstance(v, pd.Series) and v.dtype == object:
-            names.append(v.name)
-        return real(v)
+    def counting(self, e):
+        v = self.eval(e)
+        if e not in self._numbers and isinstance(v, pa.Array) and pa.types.is_string(v.type):
+            names.append(e.name if isinstance(e, Column) else None)
+        return real(self, e)
 
-    monkeypatch.setattr(sql_eval, "_to_numeric", counting)
+    monkeypatch.setattr(sql_eval._Evaluator, "num", counting)
     return names
 
 
@@ -619,3 +622,56 @@ def test_ternary_logic_partitions_cover_every_row(nulls_df, p):
     parts = [count(p), count(f"NOT ({p})"), count(f"({p}) IS NULL")]
     assert sum(parts) == len(nulls_df)
     assert parts[2] > 0  # each predicate is NULL somewhere in this frame
+
+
+# -- numeric coercion follows pandas.to_numeric(errors="coerce") ----------
+
+def _cell(g) -> str:
+    """A short cell: an integer, a decimal, an exponent, a special or junk."""
+    kind = g.integers(0, 8)
+    i = int(g.integers(-999, 99_999))
+    if kind == 0:
+        return str(i)
+    if kind == 1:
+        return f"{i / 100:.2f}"
+    if kind == 2:
+        return f"{g.integers(1, 99)}e{g.integers(-3, 4)}"
+    if kind == 3:
+        return str(g.choice(["nan", "NaN", "inf", "-Infinity", "+inf", "", "-0", "+0"]))
+    if kind == 4:
+        return str(g.choice([" ", "\t", ""])) + str(i) + str(g.choice([" ", ""]))
+    if kind == 5:
+        return "+" + str(abs(i))
+    if kind == 6:
+        return "".join(g.choice(list("0123456789.-+eExa "), g.integers(1, 6)))
+    return str(g.choice(["abc", "n/a", "1,000", "0x1F", "1e400", ".", "-", "1.", ".5"]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numeric_coercion_matches_pandas_to_numeric(seed):
+    """pandas's dtype and NULLs; values correctly rounded, as ``float()`` gives.
+
+    (pandas's own parser can be an ulp off, e.g. for ``'39E63'``.)
+    """
+    g = np.random.default_rng(seed)
+    for _ in range(150):
+        kinds = g.integers(1, 4)  # few kinds per column, so some are all-integer
+        pool = [_cell(g) for _ in range(kinds)]
+        cells = [pool[j] if g.random() < 0.8 else _cell(g)
+                 for j in g.integers(0, kinds, g.integers(1, 12))]
+        s = pd.Series(cells, dtype=object)
+        want = pd.to_numeric(s.mask(s == ""), errors="coerce").to_numpy()
+        if want.dtype == np.float64:
+            want = np.array([w if np.isnan(w) else float(c) for c, w in zip(cells, want)])
+        got = sql_eval._parse_numbers(sql_eval._nulled(pa.array(cells)))
+        assert got.dtype == want.dtype, cells
+        assert np.array_equal(got, want, equal_nan=True), cells
+        assert np.array_equal(np.signbit(got), np.signbit(want)), cells
+
+
+def test_sliced_table_evaluates_like_a_copy():
+    table = pa.table({"a": ["9", "1", "", "3", "x"], "b": ["p", "q", "r", "", "t"]})
+    sql = "SELECT a + 1 AS n, b FROM S3Object WHERE b <> 'q'"
+    sliced = table.slice(1, 4)
+    copied = pa.table({c: sliced[c].to_pylist() for c in sliced.column_names})
+    pd.testing.assert_frame_equal(run(sql, sliced), run(sql, copied))

@@ -31,7 +31,7 @@ def test_schema_ddl_types(pdf):
 def test_apply_schema_roundtrip(pdf):
     norm = T.normalize(pdf)
     ddl = T.schema_ddl(norm)
-    stringly = csvio.from_csv_bytes(csvio.to_csv_bytes(norm))
+    stringly = csvio.from_csv_bytes(csvio.to_csv_bytes(norm)).to_pandas()
     typed = T.apply_schema(stringly, ddl)
     assert typed["k"].dtype == "int64"
     assert typed["v"].dtype == "float64"
@@ -54,12 +54,12 @@ def test_write_table_index_objects(fresh_store, pdf):
     t = T.write_table(fresh_store, "t", pdf, n_partitions=2, index_columns=("k",))
     for i in range(2):
         idx = csvio.from_csv_bytes(fresh_store.storage_read(t.index_key("k", i)))
-        assert list(idx.columns) == ["k", "_offset", "_length"]
+        assert idx.column_names == ["k", "_offset", "_length"]
 
 
 def test_index_offsets_fetch_rows(fresh_store, pdf):
     t = T.write_table(fresh_store, "t", pdf, n_partitions=1, index_columns=("k",))
-    idx = csvio.from_csv_bytes(fresh_store.storage_read(t.index_key("k", 0)))
+    idx = csvio.from_csv_bytes(fresh_store.storage_read(t.index_key("k", 0))).to_pandas()
     off, ln = int(idx["_offset"][3]), int(idx["_length"][3])
     row = fresh_store.get(t.keys[0], (off, ln))
     assert row.decode().startswith("3,")
