@@ -54,8 +54,8 @@ Known deviations (and why they are acceptable):
 * Fig 7: hybrid's win over filtered at theta=1.3 measures 2.9x vs the
   paper's 1.31x -- our sweep's largest groups absorb more rows than
   theirs; direction and flat-baseline behavior match.
-* Fig 10: geo-mean speedup 14.6x vs the paper's 6.7x; geo-mean cost
-  ratio 0.677 vs the paper's 0.70 (30% cheaper). Both directions match
+* Fig 10: geo-mean speedup 14.9x vs the paper's 6.7x; geo-mean cost
+  ratio 0.676 vs the paper's 0.70 (30% cheaper). Both directions match
   (optimized faster *and* cheaper); the speedup factor is sensitive to
   baseline CPU-rate calibration.
 * TPC-H subset: the paper does not enumerate its TPC-H queries; we use

@@ -11,7 +11,8 @@ by one group column of the synthetic 10+10-column table::
 * ``s3_side_groupby``     -- phase 1 projects the group column and
   finds distinct values on the server; phase 2 pushes one
   ``SUM(CASE WHEN g = v THEN x ELSE 0 END)`` per (group, value column)
-  into S3 Select, so only #groups x #aggregates numbers return.
+  into S3 Select (:func:`case_aggregate`), so only #groups x
+  #aggregates numbers return.
 * ``hybrid_groupby``      -- phase 1 samples the first 1% of rows to
   spot populous groups; large groups are aggregated S3-side (Q1), the
   tail is fetched by the driver with ``g NOT IN (...)`` and aggregated
@@ -21,7 +22,9 @@ by one group column of the synthetic 10+10-column table::
 S3 Select has no GROUP BY -- the parser in ``s3sim`` rejects it -- so
 the CASE-WHEN encoding is a faithful reproduction of the paper's
 workaround, including its cost: S3-side compute grows with the number
-of CASE columns (modeled via ``Phase.case_columns``).
+of CASE columns (modeled via ``Phase.case_columns``). It is written in
+one place, :func:`case_aggregate`, which TPC-H Q1 (``core.tpch``) calls
+too.
 """
 from __future__ import annotations
 
@@ -46,32 +49,48 @@ def _spark_groupby(df, group_col: str, value_cols: list):
     return df.groupBy(group_col).agg(*aggs)
 
 
-def _case_sql(group_col: str, groups: list, value_cols: list) -> str:
-    """Phase-2 S3 Select text: one SUM(CASE...) per (group, value col)."""
-    items = []
-    for g in groups:
-        for v in value_cols:
-            items.append(
-                f"SUM(CASE WHEN {group_col} = {int(g)} "
-                f"THEN CAST({v} AS FLOAT) ELSE 0 END) AS s_{int(g)}_{v}"
-            )
-    return "SELECT " + ", ".join(items) + " FROM S3Object"
-
-
-def _s3_case_aggregate(
-    runner: Runner, table: StoredTable, group_col: str, groups: list, value_cols: list
+def case_aggregate(
+    runner: Runner,
+    table: StoredTable,
+    group_cols: list,
+    groups: list,
+    sums: dict,
+    where: str | None = None,
 ) -> pd.DataFrame:
-    """Run the CASE aggregation on every object and merge the partials."""
-    sql = _case_sql(group_col, groups, value_cols)
+    """``SUM(expr)`` per group, for each ``{alias: expr}`` of ``sums``, in S3.
+
+    ``groups`` holds one tuple per group: its values of ``group_cols``
+    (a ``str`` rendered quoted, an ``int`` bare). Each object of
+    ``table`` returns one ``SUM(CASE WHEN <group> THEN expr ELSE 0 END)``
+    per (group, alias) over its rows matching ``where``; the driver adds
+    the partials up. Returns one row per group, in ``groups`` order: the
+    group columns, then one float column per alias.
+    """
+    def literal(v) -> str:
+        return f"'{v}'" if isinstance(v, str) else str(int(v))
+
+    items = []
+    for gi, values in enumerate(groups):
+        cond = " AND ".join(
+            f"{c} = {literal(v)}" for c, v in zip(group_cols, values)
+        )
+        items += [
+            f"SUM(CASE WHEN {cond} THEN {expr} ELSE 0 END) AS {alias}_{gi}"
+            for alias, expr in sums.items()
+        ]
+    sql = "SELECT " + ", ".join(items) + " FROM S3Object"
+    if where:
+        sql += f" WHERE {where}"
     partials = select_all(runner.store, table.keys, sql)
     total = pd.concat(partials, ignore_index=True).astype(float).sum()
-    rows = []
-    for g in groups:
-        row = {group_col: int(g)}
-        for v in value_cols:
-            row[f"sum_{v}"] = float(total[f"s_{int(g)}_{v}"])
-        rows.append(row)
-    return pd.DataFrame(rows)
+    return pd.DataFrame(
+        [
+            {**dict(zip(group_cols, values)),
+             **{alias: float(total[f"{alias}_{gi}"]) for alias in sums}}
+            for gi, values in enumerate(groups)
+        ],
+        columns=[*group_cols, *sums],
+    )
 
 
 def server_side_groupby(
@@ -116,7 +135,10 @@ def s3_side_groupby(
         n_objects=len(table.keys),
         case_columns=len(groups) * len(value_cols),
     ):
-        out = _s3_case_aggregate(runner, table, group_col, groups, value_cols)
+        out = case_aggregate(
+            runner, table, [group_col], [(g,) for g in groups],
+            {f"sum_{v}": f"CAST({v} AS FLOAT)" for v in value_cols},
+        )
     return runner.finish(f"s3-side group-by[{group_col}]", out)
 
 
@@ -152,9 +174,10 @@ def hybrid_groupby(
             case_columns=len(pushed) * len(value_cols),
             parallel_group="phase2",
         ):
-            results.append(
-                _s3_case_aggregate(runner, table, group_col, pushed, value_cols)
-            )
+            results.append(case_aggregate(
+                runner, table, [group_col], [(g,) for g in pushed],
+                {f"sum_{v}": f"CAST({v} AS FLOAT)" for v in value_cols},
+            ))
     with runner.phase(
         "server-aggregate", n_objects=len(table.keys), parallel_group="phase2"
     ) as p:

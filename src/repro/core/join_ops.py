@@ -1,4 +1,4 @@
-"""Join algorithms (paper SV, Figures 2-4).
+"""Join algorithms (paper SV, Figures 2-4), and the one Bloom probe.
 
 The evaluation query is Listing 2::
 
@@ -12,12 +12,16 @@ The evaluation query is Listing 2::
 * ``filtered_join``  -- selections/projections pushed via S3 Select,
   join on the server; both scans can overlap (one phase).
 * ``bloom_join``     -- build side loaded with pushdown, straight into the
-  driver (``select_table``); a Bloom filter over the build keys is
-  rendered as a 0/1-string SUBSTRING predicate and ANDed with the date
-  predicate into one S3 Select WHERE clause, which the driver sends for
-  the probe scan too. If the predicate cannot fit S3's 256 KB SQL limit
-  even after degrading the FPR, the algorithm falls back to a *serial*
-  filtered probe (build already happened), as described in SV-B.1.
+  driver (``select_table``), then :func:`bloom_probe`.
+
+:func:`bloom_probe` serves ``bloom_join`` and every Bloom probe of the
+TPC-H plans (``core.tpch``: Q3's orders and lineitem, Q14's and Q19's
+part, Q17's lineitem). A Bloom filter over the build keys is rendered
+as a 0/1-string SUBSTRING predicate and ANDed with the probe side's own
+predicate into one S3 Select WHERE clause, which the driver sends. If
+the predicate cannot fit S3's 256 KB SQL limit even after degrading the
+FPR, the probe falls back to a *serial* filtered scan (build already
+happened), as described in SV-B.1.
 
 The final hash join runs in Spark (Catalyst) on the reduced inputs
 (``to_spark``), so Bloom false positives are eliminated and results stay
@@ -33,9 +37,11 @@ from repro.core.runner import QueryResult, Runner
 from repro.core.tables import StoredTable, select_table, to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim.select_engine import MAX_SQL_BYTES
+from repro.schema import apply_schema
 
-# Headroom for the non-predicate part of the probe-side SQL text.
-_SQL_OVERHEAD = 1024
+# Bytes of S3 Select's SQL limit a Bloom predicate may take: 1 KB is
+# left for the rest of the probe's text.
+_SQL_BUDGET = MAX_SQL_BYTES - 1024
 
 _BUILD_COLS = ["c_custkey", "c_acctbal"]
 _PROBE_COLS = ["o_custkey", "o_totalprice", "o_orderdate"]
@@ -107,6 +113,43 @@ def filtered_join(
     return runner.finish("filtered join", out)
 
 
+def bloom_probe(
+    runner: Runner,
+    name: str,
+    build_keys,
+    table: StoredTable,
+    columns: list,
+    where: str | None,
+    key_column: str,
+    *,
+    fpr: float = 0.01,
+    seed: int = 0,
+) -> pd.DataFrame:
+    """``columns`` of ``table``'s rows matching ``where`` whose ``key_column``
+    passes a Bloom filter over ``build_keys``, fetched in phase ``name``.
+
+    The phase's ``case_columns`` is the filter's k SUBSTRING tests per
+    row, and its ``hash_rows`` the rows received. When no rate fits
+    ``_SQL_BUDGET`` the phase is ``<name>-degraded`` and scans with
+    ``where`` alone. An empty build side sends no request.
+    """
+    if len(build_keys) == 0:  # no row can match
+        with runner.phase(name, n_objects=len(table.keys)):
+            return apply_schema(pd.DataFrame(columns=columns), table.schema_ddl)
+    bloom = fit_fpr_to_limit(build_keys, fpr, key_column, _SQL_BUDGET, seed=seed)
+    if bloom is None:
+        name += "-degraded"
+    else:
+        where = " AND ".join(w for w in (where, bloom.to_predicate(key_column)) if w)
+    with runner.phase(
+        name, n_objects=len(table.keys),
+        case_columns=0 if bloom is None else bloom.k,
+    ) as p:
+        out = select_table(runner.store, table, columns, where)
+        p.hash_rows = len(out)
+    return out
+
+
 def bloom_join(
     spark,
     runner: Runner,
@@ -125,35 +168,13 @@ def bloom_join(
             f"CAST(c_acctbal AS FLOAT) <= {float(upper_c_acctbal)!r}",
         )
         p.hash_rows = len(c_pdf)
-    build_keys = c_pdf["c_custkey"].to_numpy()
-
-    bloom = (
-        fit_fpr_to_limit(
-            build_keys, fpr, "o_custkey", MAX_SQL_BYTES - _SQL_OVERHEAD, seed=seed
-        )
-        if len(build_keys)
-        else None
+    o_pdf = bloom_probe(
+        runner, "probe", c_pdf["c_custkey"], orders, _PROBE_COLS,
+        _date_pred(upper_o_orderdate), "o_custkey", fpr=fpr, seed=seed,
     )
-    degraded = bloom is None and len(build_keys) > 0
-
-    # Probe phase: scan orders with the Bloom predicate inside S3 Select
-    # (or, degraded, a plain filtered scan -- now serial after build).
-    phase_name = "probe-degraded" if degraded else "probe"
-    with runner.phase(phase_name, n_objects=len(orders.keys)) as p:
-        p.case_columns = 0 if bloom is None else bloom.k  # SUBSTRING evals/row
-        if len(build_keys) == 0:
-            # No probe is sent. SUM over an empty join is SQL NULL (NaN
-            # in a float frame).
-            p.hash_rows = _probe_rows(orders, upper_o_orderdate)
-            out = pd.DataFrame({"total": [float("nan")]})
-        else:
-            bloom_pred = None if bloom is None else bloom.to_predicate("o_custkey")
-            where = " AND ".join(
-                w for w in (_date_pred(upper_o_orderdate), bloom_pred) if w
-            )
-            o_pdf = select_table(runner.store, orders, _PROBE_COLS, where)
-            p.hash_rows = len(o_pdf)
-            o, c = to_spark(spark, orders, o_pdf), to_spark(spark, customer, c_pdf)
-            out = _result(o.join(c, o.o_custkey == c.c_custkey)).toPandas()
+    # SUM over an empty join is SQL NULL (NaN in a float frame).
+    o, c = to_spark(spark, orders, o_pdf), to_spark(spark, customer, c_pdf)
+    out = _result(o.join(c, o.o_custkey == c.c_custkey)).toPandas()
+    degraded = runner.phases[-1].name == "probe-degraded"
     name = "bloom join (degraded)" if degraded else f"bloom join fpr={fpr}"
     return runner.finish(name, out)

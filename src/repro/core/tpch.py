@@ -7,15 +7,16 @@ For each query we provide:
   for *result equality*, not just speed;
 * ``run_baseline``            -- PushdownDB without S3 Select: full
   tables cross the network, Spark executes the whole query;
-* ``run_optimized``           -- the paper's decompositions: filter and
-  projection pushdown everywhere, full aggregate pushdown (Q6),
-  CASE-encoded S3-side group-by (Q1), and Bloom-join pipelines
-  (Q3/Q14/Q17/Q19), with the final exact joins/aggregates in Spark.
-  Every request whose S3 Select text the plan writes -- aggregates, Bloom
-  build sides and Bloom probes -- is sent by the driver
-  (``select_all``/``select_table``); rows Spark joins or aggregates reach
-  it through ``to_spark``. Only the baseline reads through the
-  ``s3select`` DataSource.
+* ``run_optimized``           -- the paper's decompositions, built from
+  the operators of Figs 2-7: filter and projection pushdown everywhere,
+  full aggregate pushdown (Q6), the CASE-encoded S3-side group-by
+  (Q1: ``groupby_ops.case_aggregate``), and Bloom-join pipelines
+  (Q3/Q14/Q17/Q19: each probe is ``join_ops.bloom_probe``), with the
+  final exact joins/aggregates in Spark. Every request whose S3 Select
+  text the plan writes -- aggregates, Bloom build sides and Bloom
+  probes -- is sent by the driver (``select_all``/``select_table``);
+  rows Spark joins or aggregates reach it through ``to_spark``. Only
+  the baseline reads through the ``s3select`` DataSource.
 
 Queries are adapted to the TPC-H-lite schema (see DESIGN.md S7): the
 selection constants are TPC-H's; text columns we do not generate are
@@ -26,16 +27,14 @@ from __future__ import annotations
 import pandas as pd
 import pyspark.sql.functions as F
 
-from repro.core.bloom import fit_fpr_to_limit
+from repro.core.groupby_ops import case_aggregate
+from repro.core.join_ops import bloom_probe
 from repro.core.runner import QueryResult, Runner
 from repro.core.tables import select_table, to_spark
 from repro.datasource.s3select import read_table
-from repro.s3sim.select_engine import MAX_SQL_BYTES, select_all
+from repro.s3sim.select_engine import select_all
 
 QUERIES = ("q1", "q3", "q6", "q14", "q17", "q19")
-
-_FPR = 0.01
-_SQL_BUDGET = MAX_SQL_BYTES - 1024
 
 _REFERENCE_SQL = {
     "q1": """
@@ -158,16 +157,9 @@ def run_baseline(spark, runner: Runner, tables: dict, q: str) -> QueryResult:
 
 # -- optimized plans ------------------------------------------------------
 
-def _bloom_or_none(keys, column: str, seed: int = 0):
-    if len(keys) == 0:
-        return None
-    return fit_fpr_to_limit(keys, _FPR, column, _SQL_BUDGET, seed=seed)
-
-
 def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
     """S3-side group-by over (returnflag, linestatus) via CASE sums."""
     li = tables["lineitem"]
-    date = "'1998-09-02'"
     # Group values come from catalog statistics: l_returnflag and
     # l_linestatus are tiny fixed domains, so the generic s3-side
     # group-by's discovery scan (phase 1 in SVI-A, exercised by
@@ -190,44 +182,23 @@ def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
         "sum_disc": "CAST(l_discount AS FLOAT)",
         "count_order": "1",
     }
-    items = []
-    for gi, (rf, ls) in enumerate(combos):
-        cond = f"l_returnflag = '{rf}' AND l_linestatus = '{ls}'"
-        for name, expr in sums.items():
-            items.append(
-                f"SUM(CASE WHEN {cond} THEN {expr} ELSE 0 END) AS {name}_{gi}"
-            )
-    sql = (
-        "SELECT " + ", ".join(items)
-        + f" FROM S3Object WHERE l_shipdate <= {date}"
-    )
     with runner.phase(
         "s3-aggregate",
         n_objects=len(li.keys),
         case_columns=len(combos) * len(sums),
     ):
-        partials = select_all(runner.store, li.keys, sql)
-    total = pd.concat(partials, ignore_index=True).astype(float).sum()
-    rows = []
-    for gi, (rf, ls) in enumerate(combos):
-        cnt = total[f"count_order_{gi}"]
-        if cnt == 0:
-            continue
-        rows.append(
-            {
-                "l_returnflag": rf,
-                "l_linestatus": ls,
-                "sum_qty": total[f"sum_qty_{gi}"],
-                "sum_base_price": total[f"sum_base_price_{gi}"],
-                "sum_disc_price": total[f"sum_disc_price_{gi}"],
-                "sum_charge": total[f"sum_charge_{gi}"],
-                "avg_qty": total[f"sum_qty_{gi}"] / cnt,
-                "avg_price": total[f"sum_base_price_{gi}"] / cnt,
-                "avg_disc": total[f"sum_disc_{gi}"] / cnt,
-                "count_order": int(cnt),
-            }
+        agg = case_aggregate(
+            runner, li, ["l_returnflag", "l_linestatus"], combos, sums,
+            "l_shipdate <= '1998-09-02'",
         )
-    return runner.finish("q1 optimized", pd.DataFrame(rows))
+    agg = agg[agg["count_order"] > 0].reset_index(drop=True)
+    for avg, total in (
+        ("avg_qty", "sum_qty"), ("avg_price", "sum_base_price"),
+        ("avg_disc", "sum_disc"),
+    ):
+        agg[avg] = agg[total] / agg["count_order"]
+    agg["count_order"] = agg.pop("count_order").astype("int64")  # last column
+    return runner.finish("q1 optimized", agg.drop(columns="sum_disc"))
 
 
 def _opt_q3(spark, runner: Runner, tables: dict) -> QueryResult:
@@ -239,54 +210,34 @@ def _opt_q3(spark, runner: Runner, tables: dict) -> QueryResult:
             "c_mktsegment = 'BUILDING'",
         )
         p.hash_rows = len(c_pdf)
-    bloom1 = _bloom_or_none(c_pdf["c_custkey"].to_numpy(), "o_custkey")
-
-    with runner.phase(
-        "orders", n_objects=len(o.keys),
-        case_columns=0 if bloom1 is None else bloom1.k,
-    ) as p:
-        where = "o_orderdate < '1995-03-15'"
-        if bloom1 is not None:
-            where += " AND " + bloom1.to_predicate("o_custkey")
-        o_pdf = select_table(
-            runner.store, o,
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
-            where,
-        )
-        p.hash_rows = len(o_pdf) + len(c_pdf)
+    o_pdf = bloom_probe(
+        runner, "orders", c_pdf["c_custkey"], o,
+        ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
+        "o_orderdate < '1995-03-15'", "o_custkey",
+    )
     matched = o_pdf[o_pdf["o_custkey"].isin(set(c_pdf["c_custkey"]))]
-    bloom2 = _bloom_or_none(matched["o_orderkey"].to_numpy(), "l_orderkey", seed=1)
-
-    with runner.phase(
-        "lineitem", n_objects=len(li.keys),
-        case_columns=0 if bloom2 is None else bloom2.k,
-    ) as p:
-        where = "l_shipdate > '1995-03-15'"
-        if bloom2 is not None:
-            where += " AND " + bloom2.to_predicate("l_orderkey")
-        li_df = to_spark(spark, li, select_table(
-            runner.store, li,
-            ["l_orderkey", "l_extendedprice", "l_discount"],
-            where,
-        ))
-        joined = li_df.join(
-            to_spark(
-                spark, o, matched[["o_orderkey", "o_orderdate", "o_shippriority"]]
-            ),
-            li_df.l_orderkey == F.col("o_orderkey"),
+    li_df = to_spark(spark, li, bloom_probe(
+        runner, "lineitem", matched["o_orderkey"], li,
+        ["l_orderkey", "l_extendedprice", "l_discount"],
+        "l_shipdate > '1995-03-15'", "l_orderkey", seed=1,
+    ))
+    joined = li_df.join(
+        to_spark(
+            spark, o, matched[["o_orderkey", "o_orderdate", "o_shippriority"]]
+        ),
+        li_df.l_orderkey == F.col("o_orderkey"),
+    )
+    out = (
+        joined.groupBy("l_orderkey", "o_orderdate", "o_shippriority")
+        .agg(
+            F.sum(
+                F.col("l_extendedprice") * (1 - F.col("l_discount"))
+            ).alias("revenue")
         )
-        out = (
-            joined.groupBy("l_orderkey", "o_orderdate", "o_shippriority")
-            .agg(
-                F.sum(
-                    F.col("l_extendedprice") * (1 - F.col("l_discount"))
-                ).alias("revenue")
-            )
-            .orderBy(F.desc("revenue"), F.asc("l_orderkey"))
-            .limit(10)
-            .toPandas()[["l_orderkey", "revenue", "o_orderdate", "o_shippriority"]]
-        )
-        p.hash_rows = len(matched)
+        .orderBy(F.desc("revenue"), F.asc("l_orderkey"))
+        .limit(10)
+        .toPandas()[["l_orderkey", "revenue", "o_orderdate", "o_shippriority"]]
+    )
     return runner.finish("q3 optimized", out)
 
 
@@ -321,24 +272,17 @@ def _opt_q14(spark, runner: Runner, tables: dict) -> QueryResult:
             "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'",
         )
         p.hash_rows = len(li_pdf)
-    bloom = _bloom_or_none(li_pdf["l_partkey"].unique(), "p_partkey")
-
-    with runner.phase(
-        "part", n_objects=len(pt.keys),
-        case_columns=0 if bloom is None else bloom.k,
-    ) as p:
-        pt_df = to_spark(spark, pt, select_table(
-            runner.store, pt, ["p_partkey", "p_type"],
-            None if bloom is None else bloom.to_predicate("p_partkey"),
-        ))
-        li_df = to_spark(spark, li, li_pdf)
-        joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
-        disc = F.col("l_extendedprice") * (1 - F.col("l_discount"))
-        promo = F.when(F.col("p_type").startswith("PROMO"), disc).otherwise(0.0)
-        out = joined.agg(
-            (100.0 * F.sum(promo) / F.sum(disc)).alias("promo_revenue")
-        ).toPandas()
-        p.hash_rows = len(li_pdf)
+    pt_df = to_spark(spark, pt, bloom_probe(
+        runner, "part", li_pdf["l_partkey"], pt, ["p_partkey", "p_type"],
+        None, "p_partkey",
+    ))
+    li_df = to_spark(spark, li, li_pdf)
+    joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
+    disc = F.col("l_extendedprice") * (1 - F.col("l_discount"))
+    promo = F.when(F.col("p_type").startswith("PROMO"), disc).otherwise(0.0)
+    out = joined.agg(
+        (100.0 * F.sum(promo) / F.sum(disc)).alias("promo_revenue")
+    ).toPandas()
     return runner.finish("q14 optimized", out)
 
 
@@ -351,34 +295,27 @@ def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
             "p_brand = 'Brand#23' AND p_container = 'MED BOX'",
         )
         p.hash_rows = len(pt_pdf)
-    bloom = _bloom_or_none(pt_pdf["p_partkey"].to_numpy(), "l_partkey")
-
-    with runner.phase(
-        "lineitem", n_objects=len(li.keys),
-        case_columns=0 if bloom is None else bloom.k,
-    ) as p:
-        li_df = to_spark(spark, li, select_table(
-            runner.store, li, ["l_partkey", "l_quantity", "l_extendedprice"],
-            None if bloom is None else bloom.to_predicate("l_partkey"),
-        ))
-        # Exact join removes Bloom false positives; every true part keeps
-        # *all* its lineitem rows (no false negatives), so the per-part
-        # AVG equals the correlated subquery's. An empty build side
-        # gives a NULL answer.
-        joined = li_df.join(
-            to_spark(spark, pt, pt_pdf[["p_partkey"]]),
-            li_df.l_partkey == F.col("p_partkey"),
-        )
-        avg = joined.groupBy("p_partkey").agg(
-            (0.2 * F.avg("l_quantity")).alias("qty_limit")
-        )
-        out = (
-            joined.join(avg, "p_partkey")
-            .filter(F.col("l_quantity") < F.col("qty_limit"))
-            .agg((F.sum("l_extendedprice") / 7.0).alias("avg_yearly"))
-            .toPandas()
-        )
-        p.hash_rows = li.n_rows // max(1, pt.n_rows // max(1, len(pt_pdf)))
+    li_df = to_spark(spark, li, bloom_probe(
+        runner, "lineitem", pt_pdf["p_partkey"], li,
+        ["l_partkey", "l_quantity", "l_extendedprice"], None, "l_partkey",
+    ))
+    # Exact join removes Bloom false positives; every true part keeps
+    # *all* its lineitem rows (no false negatives), so the per-part
+    # AVG equals the correlated subquery's. An empty build side
+    # gives a NULL answer.
+    joined = li_df.join(
+        to_spark(spark, pt, pt_pdf[["p_partkey"]]),
+        li_df.l_partkey == F.col("p_partkey"),
+    )
+    avg = joined.groupBy("p_partkey").agg(
+        (0.2 * F.avg("l_quantity")).alias("qty_limit")
+    )
+    out = (
+        joined.join(avg, "p_partkey")
+        .filter(F.col("l_quantity") < F.col("qty_limit"))
+        .agg((F.sum("l_extendedprice") / 7.0).alias("avg_yearly"))
+        .toPandas()
+    )
     return runner.finish("q17 optimized", out)
 
 
@@ -401,44 +338,36 @@ def _opt_q19(spark, runner: Runner, tables: dict) -> QueryResult:
             li_where,
         )
         p.hash_rows = len(li_pdf)
-    bloom = _bloom_or_none(li_pdf["l_partkey"].unique(), "p_partkey")
-
     pt_where = (
         "CAST(p_size AS FLOAT) >= 1 AND CAST(p_size AS FLOAT) <= 15"
         " AND p_brand IN ('Brand#12', 'Brand#23', 'Brand#34')"
     )
-    if bloom is not None:
-        pt_where += " AND " + bloom.to_predicate("p_partkey")
-    with runner.phase(
-        "part", n_objects=len(pt.keys),
-        case_columns=0 if bloom is None else bloom.k,
-    ) as p:
-        pt_df = to_spark(spark, pt, select_table(
-            runner.store, pt, ["p_partkey", "p_brand", "p_size", "p_container"],
-            pt_where,
-        ))
-        li_df = to_spark(spark, li, li_pdf)
-        joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
-        branch = (
-            "(p_brand = 'Brand#12'"
-            " AND p_container IN ('SM CASE','SM BOX','SM PACK','SM PKG')"
-            " AND l_quantity >= 1 AND l_quantity <= 11"
-            " AND p_size BETWEEN 1 AND 5)"
-            " OR (p_brand = 'Brand#23'"
-            " AND p_container IN ('MED BAG','MED BOX','MED PKG','MED PACK')"
-            " AND l_quantity >= 10 AND l_quantity <= 20"
-            " AND p_size BETWEEN 1 AND 10)"
-            " OR (p_brand = 'Brand#34'"
-            " AND p_container IN ('LG CASE','LG BOX','LG PACK','LG PKG')"
-            " AND l_quantity >= 20 AND l_quantity <= 30"
-            " AND p_size BETWEEN 1 AND 15)"
+    pt_df = to_spark(spark, pt, bloom_probe(
+        runner, "part", li_pdf["l_partkey"], pt,
+        ["p_partkey", "p_brand", "p_size", "p_container"], pt_where,
+        "p_partkey",
+    ))
+    li_df = to_spark(spark, li, li_pdf)
+    joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
+    branch = (
+        "(p_brand = 'Brand#12'"
+        " AND p_container IN ('SM CASE','SM BOX','SM PACK','SM PKG')"
+        " AND l_quantity >= 1 AND l_quantity <= 11"
+        " AND p_size BETWEEN 1 AND 5)"
+        " OR (p_brand = 'Brand#23'"
+        " AND p_container IN ('MED BAG','MED BOX','MED PKG','MED PACK')"
+        " AND l_quantity >= 10 AND l_quantity <= 20"
+        " AND p_size BETWEEN 1 AND 10)"
+        " OR (p_brand = 'Brand#34'"
+        " AND p_container IN ('LG CASE','LG BOX','LG PACK','LG PKG')"
+        " AND l_quantity >= 20 AND l_quantity <= 30"
+        " AND p_size BETWEEN 1 AND 15)"
+    )
+    res = joined.filter(branch).agg(
+        F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))).alias(
+            "revenue"
         )
-        res = joined.filter(branch).agg(
-            F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))).alias(
-                "revenue"
-            )
-        ).toPandas()
-        p.hash_rows = len(li_pdf)
+    ).toPandas()
     return runner.finish("q19 optimized", res)
 
 

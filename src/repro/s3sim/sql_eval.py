@@ -167,6 +167,15 @@ def _parse_numbers(text: pa.Array) -> np.ndarray:
     return _cast_numbers(pc.utf8_ltrim(text, characters="+"))
 
 
+def cells_to_numbers(cells: pa.Array) -> np.ndarray:
+    """CSV cells as numbers, ``''`` and NULL being NULL: S3 Select's coercion.
+
+    It is also how ``repro.schema`` types the rows a compute-side reader
+    receives, so the two cannot drift.
+    """
+    return _parse_numbers(_nulled(cells))
+
+
 def _scalar_number(v):
     """A scalar coerced to a number (None stays None, junk is NaN)."""
     if v is None or isinstance(v, (int, float, np.integer, np.floating)):

@@ -13,12 +13,17 @@ time, or :func:`apply_schema`, a whole frame:
 An empty or non-numeric cell of a numeric column is NULL: NaN in the
 frame, ``None`` in the rows the DataSource yields (:func:`spark_values`).
 These are the dtypes ``DataFrame.toPandas()`` returns for the same table.
+Numeric cells are read by S3 Select's own coercion
+(``s3sim.sql_eval.cells_to_numbers``, which follows ``pandas.to_numeric``).
 This module imports neither ``core`` nor ``datasource``, so both use it.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from repro.s3sim.sql_eval import cells_to_numbers
 
 _INTEGRAL = ("BIGINT", "INT")
 _FRACTIONAL = ("DOUBLE", "FLOAT")
@@ -45,12 +50,16 @@ def project_ddl(ddl: str, columns: list) -> str:
 def typed_column(s: pd.Series, sql_type: str) -> pd.Series:
     """One all-string column as the DDL type ``sql_type`` (case-insensitive)."""
     t = sql_type.upper()
-    if t in _INTEGRAL:
-        n = pd.to_numeric(s, errors="coerce")
-        return n.astype("float64" if n.isna().any() else "int64")
-    if t in _FRACTIONAL:
-        return pd.to_numeric(s, errors="coerce").astype("float64")
-    return s.astype(str)
+    if t not in _INTEGRAL + _FRACTIONAL:
+        return s.astype(str)
+    # Parquet columns arrive typed; CSV cells by S3 Select's coercion.
+    n = s.to_numpy() if s.dtype != object else cells_to_numbers(
+        pa.array(s, type=pa.string(), from_pandas=True)
+    )
+    integral = t in _INTEGRAL and not np.isnan(n).any()
+    return pd.Series(n, index=s.index, name=s.name).astype(
+        "int64" if integral else "float64"
+    )
 
 
 def spark_values(s: pd.Series, sql_type: str) -> list:

@@ -110,3 +110,10 @@ def test_filtered_join_usage(spark, store, tpch_tables):
         tpch_tables["orders"], -450, "1995-01-01",
     )
     _check("filtered_join", r)
+
+
+def test_s3_side_groupby_usage(spark, store, groups_uniform):
+    r = groupby_ops.s3_side_groupby(
+        spark, new_runner_for(store), groups_uniform, "g3", VALUE_COLS
+    )
+    _check("s3_side_groupby", r)

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core import join_ops
+from repro.core import tpch as tpch_plans
 from repro.oracle import assert_equivalent
 from tests.conftest import new_runner_for
 
@@ -61,19 +62,27 @@ def test_bloom_has_two_serial_phases(spark, store, tpch):
     assert [p.name for p in r.phases] == ["build", "probe"]
 
 
-def test_bloom_degrades_when_sql_budget_tiny(spark, store, tpch, monkeypatch):
-    """An unsatisfiable 256KB budget forces the serial filtered fallback."""
-    monkeypatch.setattr(join_ops, "_SQL_OVERHEAD", join_ops.MAX_SQL_BYTES - 10)
-    r = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], 9000, None
-    )
-    assert "degraded" in r.name
-    assert [p.name for p in r.phases] == ["build", "probe-degraded"]
+@pytest.mark.parametrize("plan", ["bloom_join", "q14"])
+def test_bloom_degrades_when_sql_budget_tiny(spark, store, tpch, monkeypatch, plan):
+    """An unsatisfiable 256KB budget forces the serial filtered fallback,
+    in ``bloom_join`` and in the TPC-H plans alike."""
+    monkeypatch.setattr(join_ops, "_SQL_BUDGET", 10)
+    runner = new_runner_for(store)
+    if plan == "q14":
+        r = tpch_plans.run_optimized(spark, runner, tpch, "q14")
+        phases, names = ["lineitem", "part-degraded"], ("lineitem", "part")
+        sql = tpch_plans.reference_sql("q14")
+    else:
+        r = join_ops.bloom_join(
+            spark, runner, tpch["customer"], tpch["orders"], 9000, None
+        )
+        assert "degraded" in r.name
+        phases, names = ["build", "probe-degraded"], ("customer", "orders")
+        sql = _oracle_sql(9000, None)
+    assert [p.name for p in r.phases] == phases
+    assert r.phases[-1].case_columns == 0
     assert_equivalent(
-        spark.createDataFrame(r.df),
-        _oracle_sql(9000, None),
-        customer=tpch["customer"].pdf,
-        orders=tpch["orders"].pdf,
+        spark.createDataFrame(r.df), sql, **{n: tpch[n].pdf for n in names}
     )
 
 

@@ -1,7 +1,8 @@
 """TPC-H suite tests: both plans must equal the DuckDB oracle (Fig 10)."""
 import pytest
 
-from repro.core import tpch
+from repro.core import join_ops, tpch
+from repro.core.bloom import fit_fpr_to_limit
 from repro.oracle import assert_equivalent
 from tests.conftest import new_runner_for
 
@@ -81,6 +82,8 @@ def test_q17_empty_bloom_build_side(spark, tpch_tables, fresh_store):
     }
     r = tpch.run_optimized(spark, new_runner_for(fresh_store), tables, "q17")
     assert [p.name for p in r.phases] == ["part", "lineitem"]
+    # No part matched, so no lineitem can: no probe request is sent.
+    assert r.phases[1].usage.select_requests == 0
     assert r.df["avg_yearly"].isna().all() and len(r.df) == 1
     assert_equivalent(
         spark.createDataFrame(r.df, schema="avg_yearly double"),
@@ -129,7 +132,9 @@ def test_q14_empty_probe_side(spark, tpch_tables, fresh_store):
     """Every part the Bloom filter would pass is removed: a NULL ratio."""
     li, part = tpch_tables["lineitem"].pdf, tpch_tables["part"].pdf
     in_month = (li["l_shipdate"] >= "1995-09-01") & (li["l_shipdate"] < "1995-10-01")
-    bloom = tpch._bloom_or_none(li[in_month]["l_partkey"].unique(), "p_partkey")
+    bloom = fit_fpr_to_limit(
+        li[in_month]["l_partkey"].unique(), 0.01, "p_partkey", join_ops._SQL_BUDGET
+    )
     r = _probe_returns_nothing(
         spark, fresh_store, "q14",
         {
