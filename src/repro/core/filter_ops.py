@@ -20,7 +20,6 @@ from repro.core.runner import QueryResult, Runner
 from repro.core.tables import StoredTable, apply_schema
 from repro.datasource.s3select import read_table
 from repro.s3sim import csvio, select_all
-from repro.s3sim.sql_parser import parse  # noqa: F401  (re-export convenience)
 
 
 def server_side_filter(
@@ -94,7 +93,7 @@ def s3_index_filter(
     with runner.phase("row-fetch", n_objects=len(table.keys)) as p:
         p.agg_rows = n_hits
         frames = []
-        cols = list(table.pdf.columns)
+        cols = table.columns
         for i, offs in ranges:
             chunks = [runner.store.get(table.keys[i], rng) for rng in offs]
             if chunks:

@@ -9,8 +9,9 @@ The evaluation query is Listing 2::
       AND O_ORDERDATE < :upper_o_orderdate    -- None = no predicate
 
 * ``baseline_join``  -- both tables fully loaded, hash join on the server.
-* ``filtered_join``  -- selections/projections pushed via S3 Select,
-  join on the server; both scans can overlap (one phase).
+* ``filtered_join``  -- selections/projections pushed via S3 Select
+  (``select_table``), join on the server; both scans overlap (one
+  phase).
 * ``bloom_join``     -- build side loaded with pushdown, straight into the
   driver (``select_table``), then :func:`bloom_probe`.
 
@@ -20,12 +21,14 @@ part, Q17's lineitem). A Bloom filter over the build keys is rendered
 as a 0/1-string SUBSTRING predicate and ANDed with the probe side's own
 predicate into one S3 Select WHERE clause, which the driver sends. If
 the predicate cannot fit S3's 256 KB SQL limit even after degrading the
-FPR, the probe falls back to a *serial* filtered scan (build already
-happened), as described in SV-B.1.
+FPR, the probe scans with its own predicate alone, in a phase named
+``<name>-degraded`` (the build already happened), as described in
+SV-B.1.
 
 The final hash join runs in Spark (Catalyst) on the reduced inputs
 (``to_spark``), so Bloom false positives are eliminated and results stay
-exact; the probe's ``hash_rows`` is the number of rows it received.
+exact. Every pushed-down phase's ``hash_rows`` is the number of rows it
+received.
 """
 from __future__ import annotations
 
@@ -52,17 +55,14 @@ def _result(joined) -> object:
     return joined.agg(F.sum("o_totalprice").alias("total"))
 
 
+def _acctbal_pred(upper_c_acctbal: float) -> str:
+    return f"CAST(c_acctbal AS FLOAT) <= {float(upper_c_acctbal)!r}"
+
+
 def _date_pred(upper_o_orderdate: str | None) -> str | None:
     if upper_o_orderdate is None:
         return None
     return f"o_orderdate < '{upper_o_orderdate}'"
-
-
-def _probe_rows(orders: StoredTable, upper_o_orderdate: str | None) -> int:
-    """Exact count of probe rows reaching the server (model input)."""
-    if upper_o_orderdate is None:
-        return orders.n_rows
-    return int((orders.pdf["o_orderdate"] < upper_o_orderdate).sum())
 
 
 def baseline_join(
@@ -100,15 +100,14 @@ def filtered_join(
     with runner.phase(
         "filtered-load+join", n_objects=len(customer.keys) + len(orders.keys)
     ) as p:
-        build_rows = int((customer.pdf["c_acctbal"] <= upper_c_acctbal).sum())
-        p.hash_rows = build_rows + _probe_rows(orders, upper_o_orderdate)
-        c = read_table(
-            spark, runner.store.root, customer.name, columns=_BUILD_COLS
-        ).filter(F.col("c_acctbal") <= upper_c_acctbal)
-        o = read_table(spark, runner.store.root, orders.name, columns=_PROBE_COLS)
-        pred = _date_pred(upper_o_orderdate)
-        if pred:
-            o = o.filter(pred)
+        c_pdf = select_table(
+            runner.store, customer, _BUILD_COLS, _acctbal_pred(upper_c_acctbal)
+        )
+        o_pdf = select_table(
+            runner.store, orders, _PROBE_COLS, _date_pred(upper_o_orderdate)
+        )
+        p.hash_rows = len(c_pdf) + len(o_pdf)
+        o, c = to_spark(spark, orders, o_pdf), to_spark(spark, customer, c_pdf)
         out = _result(o.join(c, o.o_custkey == c.c_custkey)).toPandas()
     return runner.finish("filtered join", out)
 
@@ -164,8 +163,7 @@ def bloom_join(
     # Build phase: load the (filtered, projected) small table.
     with runner.phase("build", n_objects=len(customer.keys)) as p:
         c_pdf = select_table(
-            runner.store, customer, _BUILD_COLS,
-            f"CAST(c_acctbal AS FLOAT) <= {float(upper_c_acctbal)!r}",
+            runner.store, customer, _BUILD_COLS, _acctbal_pred(upper_c_acctbal)
         )
         p.hash_rows = len(c_pdf)
     o_pdf = bloom_probe(

@@ -109,10 +109,8 @@ class Runner:
             p.usage = self.store.log.read_since(pos)
             self.phases.append(p)
 
-    def finish(self, name: str, df) -> QueryResult:
+    def finish(self, name: str, df: pd.DataFrame) -> QueryResult:
         """Build the QueryResult for the recorded phases."""
-        if hasattr(df, "toPandas"):
-            df = df.toPandas()
         total = Usage()
         for p in self.phases:
             total += p.usage

@@ -3,11 +3,20 @@
 Each table is partitioned into multiple CSV objects (PushdownDB loads
 partitions with parallel processes; our Spark datasource maps one input
 partition per object). Alongside the objects we store non-billed
-metadata: the Spark schema DDL and the partition list. Optionally we
-also write Parquet twins (Fig 11) and per-partition index tables
-(SIV-A): ``(value, _offset, _length)`` rows naming the byte range of
-each data row, which phase 2 of the index algorithm fetches with
-single-range GETs.
+metadata: the Spark schema DDL and a manifest of the objects, the row
+and byte counts, and two statistics per column, computed at load time
+from the CSV cells: the mean rendered width, and the sorted values of a
+column with at most ``DOMAIN_CAP`` distinct ones. These are the
+"statistics of the underlying data" the paper's plans read (SVIII);
+operators know a table only through them and through the rows their
+requests return. Optionally we also write Parquet twins (Fig 11) and
+per-partition index tables (SIV-A): ``(value, _offset, _length)`` rows
+naming the byte range of each data row, which phase 2 of the index
+algorithm fetches with single-range GETs.
+
+``StoredTable.pdf`` is the oracle's pandas copy of the rows, for tests
+and result checks: the frame ``write_table`` landed, or, for a table
+read back from the store, the objects decoded on first access.
 
 Dates are normalized to ISO-8601 strings end-to-end: S3 Select's CSV
 engine is untyped, and ISO strings compare correctly both
@@ -20,26 +29,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.select_engine import select_all
 from repro.s3sim.store import ObjectStore
-from repro.schema import apply_schema, project_ddl
+from repro.schema import apply_schema, parse_ddl, project_ddl, typed_column
+
+# A column with at most this many distinct non-NULL values has them
+# listed in the manifest (``StoredTable.domains``).
+DOMAIN_CAP = 16
 
 
 @dataclass
 class StoredTable:
-    """A table materialized as S3 objects + its oracle-side pandas copy."""
+    """A table materialized as S3 objects, as its manifest describes it."""
 
     name: str
     keys: list  # CSV object keys, in partition order
     schema_ddl: str
     n_rows: int
     total_bytes: int
-    pdf: pd.DataFrame  # normalized frame (oracle input / reference)
+    widths: dict  # column -> mean rendered width of its cells, in characters
+    domains: dict  # column -> sorted distinct non-NULL values, if <= DOMAIN_CAP
     parquet_keys: list = field(default_factory=list)
     index_columns: list = field(default_factory=list)
     parquet_bytes: int = 0
+    _pdf: pd.DataFrame | None = field(default=None, repr=False, compare=False)
+    _store: ObjectStore | None = field(default=None, repr=False, compare=False)
 
     def index_key(self, column: str, part: int) -> str:
         return f"{self.name}/index/{column}/part{part}.csv"
@@ -47,6 +64,24 @@ class StoredTable:
     @property
     def avg_row_bytes(self) -> float:
         return self.total_bytes / max(1, self.n_rows)
+
+    @property
+    def columns(self) -> list:
+        """Column names, in DDL order."""
+        return [name for name, _ in parse_ddl(self.schema_ddl).values()]
+
+    @property
+    def pdf(self) -> pd.DataFrame:
+        """The oracle's typed pandas copy of every row (see module docstring)."""
+        if self._pdf is None:
+            frames = [
+                csvio.from_csv_bytes(self._store.storage_read(k)).to_pandas()
+                for k in self.keys
+            ]
+            self._pdf = apply_schema(
+                pd.concat(frames, ignore_index=True), self.schema_ddl
+            )
+        return self._pdf
 
 
 def normalize(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -105,6 +140,45 @@ def to_spark(spark, table: StoredTable, pdf: pd.DataFrame):
     )
 
 
+def _cell_stats(data: bytes) -> dict:
+    """Per column of one CSV object: ``(sum of cell widths, distinct cells)``.
+
+    The distinct cells are a set of the non-empty ones (an empty cell is
+    NULL), or None when there are more than ``DOMAIN_CAP`` of them.
+    """
+    cells = csvio.from_csv_bytes(data)
+    out = {}
+    for c, col in zip(cells.column_names, cells.columns):
+        values = pc.unique(col)
+        values = values.filter(pc.not_equal(values, ""))
+        out[c] = (
+            pc.sum(pc.utf8_length(col)).as_py() or 0,
+            set(values.to_pylist()) if len(values) <= DOMAIN_CAP else None,
+        )
+    return out
+
+
+def _column_stats(parts: list, ddl: str, n_rows: int) -> tuple[dict, dict]:
+    """``(widths, domains)`` of a table from its objects' :func:`_cell_stats`.
+
+    A width is the mean over rows of a cell's length in characters (a
+    CSV cell holds ``str(value)``). A domain holds the column's values
+    typed by its DDL type.
+    """
+    widths, domains = {}, {}
+    for name, sql_type in parse_ddl(ddl).values():
+        stats = [part[name] for part in parts]
+        widths[name] = sum(w for w, _ in stats) / max(1, n_rows)
+        if any(d is None for _, d in stats):
+            continue
+        values = set().union(*(d for _, d in stats))
+        if len(values) <= DOMAIN_CAP:
+            domains[name] = sorted(typed_column(
+                pd.Series(list(values), dtype=object), sql_type
+            ).tolist())
+    return widths, domains
+
+
 def write_table(
     store: ObjectStore,
     name: str,
@@ -118,7 +192,7 @@ def write_table(
     pdf = normalize(pdf)
     ddl = schema_ddl(pdf)
     chunks = np.array_split(np.arange(len(pdf)), n_partitions)
-    keys, parquet_keys = [], []
+    keys, parquet_keys, parts = [], [], []
     total = 0
     pq_total = 0
     for i, idx in enumerate(chunks):
@@ -128,6 +202,7 @@ def write_table(
         store.put(key, data)
         keys.append(key)
         total += len(data)
+        parts.append(_cell_stats(data))
         if parquet:
             pq_data = parquetio.to_parquet_bytes(part)
             pq_key = f"{name}/part{i}.parquet"
@@ -146,6 +221,7 @@ def write_table(
             store.put(
                 f"{name}/index/{col}/part{i}.csv", csvio.to_csv_bytes(idx_pdf)
             )
+    widths, domains = _column_stats(parts, ddl, len(pdf))
     store.put_meta(f"{name}/schema.ddl", ddl)
     store.put_meta(
         f"{name}/manifest.json",
@@ -157,6 +233,8 @@ def write_table(
                 "n_rows": len(pdf),
                 "total_bytes": total,
                 "parquet_bytes": pq_total,
+                "widths": widths,
+                "domains": domains,
             }
         ),
     )
@@ -166,32 +244,34 @@ def write_table(
         schema_ddl=ddl,
         n_rows=len(pdf),
         total_bytes=total,
-        pdf=pdf,
+        widths=widths,
+        domains=domains,
         parquet_keys=parquet_keys,
         index_columns=list(index_columns),
         parquet_bytes=pq_total,
+        _pdf=pdf,
     )
 
 
 def read_stored_table(store: ObjectStore, name: str) -> StoredTable:
-    """Reconstruct a :class:`StoredTable` from store metadata + objects."""
+    """Reconstruct a :class:`StoredTable` from its store metadata alone.
+
+    Reads no object: ``pdf`` is loaded on first access. Raises
+    ``KeyError`` for a manifest written without column statistics.
+    """
     manifest = json.loads(store.get_meta(f"{name}/manifest.json"))
-    ddl = store.get_meta(f"{name}/schema.ddl")
-    frames = [
-        csvio.from_csv_bytes(store.storage_read(k)).to_pandas()
-        for k in manifest["keys"]
-    ]
-    pdf = apply_schema(pd.concat(frames, ignore_index=True), ddl)
     return StoredTable(
         name=name,
         keys=manifest["keys"],
-        schema_ddl=ddl,
+        schema_ddl=store.get_meta(f"{name}/schema.ddl"),
         n_rows=manifest["n_rows"],
         total_bytes=manifest["total_bytes"],
-        pdf=pdf,
+        widths=manifest["widths"],
+        domains=manifest["domains"],
         parquet_keys=manifest["parquet_keys"],
         index_columns=manifest["index_columns"],
         parquet_bytes=manifest.get("parquet_bytes", 0),
+        _store=store,
     )
 
 
@@ -204,14 +284,18 @@ def get_or_create(
     index_columns: tuple = (),
     parquet: bool = False,
 ) -> StoredTable:
-    """Reuse a table already in the store, else build it from ``build_pdf()``."""
+    """Reuse a table already in the store, else build it from ``build_pdf()``.
+
+    A stored table is rebuilt when it lacks a requested index or Parquet
+    twin, or when its manifest predates the column statistics.
+    """
     try:
         t = read_stored_table(store, name)
         if set(index_columns) <= set(t.index_columns) and (
             not parquet or t.parquet_keys
         ):
             return t
-    except FileNotFoundError:
+    except (FileNotFoundError, KeyError):
         pass
     return write_table(
         store,

@@ -9,13 +9,15 @@ Evaluation query (Listing 6)::
   (a prefix per object: rows are randomly ordered by construction, the
   paper's "if the data in the table is random" case) and takes the K-th
   smallest as a conservative threshold; phase 2 loads only rows at or
-  below the threshold via S3 Select (Catalyst filter pushdown) and
-  finishes the top-K on the server. Sampling guarantees >= K qualifying
-  rows, so the result is exact.
+  below the threshold via S3 Select (the driver's ``select_table``) and
+  finishes the top-K on the server (Spark, through ``to_spark``).
+  Sampling guarantees >= K qualifying rows, so the result is exact; the
+  phase's ``heap_rows`` is the number of rows it received.
 
 The paper's bandwidth-optimal sample size ``S = sqrt(K*N/alpha)``
 (SVII-B), with ``alpha`` the fraction of row bytes needed in phase 1,
-is the default; Figures 8-9 sweep around it.
+is the default; Figures 8-9 sweep around it. ``alpha`` comes from the
+table's manifest (the mean width of the ORDER BY column's cells).
 """
 from __future__ import annotations
 
@@ -24,14 +26,14 @@ import math
 import pandas as pd
 
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable
+from repro.core.tables import StoredTable, select_table, to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim import select_all
 
 
 def alpha_fraction(table: StoredTable, order_col: str) -> float:
     """Fraction of each row's bytes needed during sampling (paper's alpha)."""
-    col_bytes = table.pdf[order_col].astype(str).str.len().mean() + 1  # +delimiter
+    col_bytes = table.widths[order_col] + 1  # +delimiter
     return float(col_bytes / table.avg_row_bytes)
 
 
@@ -76,11 +78,12 @@ def sampling_topk(
     threshold = float(sampled.nsmallest(k).iloc[-1])
 
     with runner.phase("scan", n_objects=len(table.keys)) as p:
-        p.heap_rows = int((table.pdf[order_col] <= threshold).sum())
-        df = read_table(spark, runner.store.root, table.name).filter(
-            f"{order_col} <= {threshold!r}"
+        rows = select_table(
+            runner.store, table, table.columns,
+            f"CAST({order_col} AS FLOAT) <= {threshold!r}",
         )
-        out = df.orderBy(order_col).limit(k).toPandas()
+        p.heap_rows = len(rows)
+        out = to_spark(spark, table, rows).orderBy(order_col).limit(k).toPandas()
     assert len(out) == k or len(out) == table.n_rows, (
         "sampling threshold must admit at least K rows"
     )

@@ -24,6 +24,8 @@ omitted from projections.
 """
 from __future__ import annotations
 
+import itertools
+
 import pandas as pd
 import pyspark.sql.functions as F
 
@@ -161,13 +163,15 @@ def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
     """S3-side group-by over (returnflag, linestatus) via CASE sums."""
     li = tables["lineitem"]
     # Group values come from catalog statistics: l_returnflag and
-    # l_linestatus are tiny fixed domains, so the generic s3-side
-    # group-by's discovery scan (phase 1 in SVI-A, exercised by
-    # groupby_ops) is unnecessary here -- the paper assumes "a database
-    # can use various statistics of the underlying data" (SVIII).
-    combos = sorted(
-        set(zip(li.pdf["l_returnflag"], li.pdf["l_linestatus"]))
-    )
+    # l_linestatus have tiny domains, listed in the table's manifest, so
+    # the generic s3-side group-by's discovery scan (phase 1 in SVI-A,
+    # exercised by groupby_ops) is unnecessary here -- the paper assumes
+    # "a database can use various statistics of the underlying data"
+    # (SVIII). A pair that never occurs sums to an empty group, dropped
+    # below.
+    combos = list(itertools.product(
+        li.domains["l_returnflag"], li.domains["l_linestatus"]
+    ))
 
     sums = {
         "sum_qty": "CAST(l_quantity AS FLOAT)",

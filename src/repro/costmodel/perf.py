@@ -64,8 +64,7 @@ class PerfModel:
             + phase.heap_rows / self.heap_rate
             + u.total_requests * self.per_request_cpu / self.cores
         )
-        inflight = 1 if phase.serial_requests else self.request_inflight
-        req = u.total_requests * self.request_latency / inflight
+        req = u.total_requests * self.request_latency / self.request_inflight
         return self.phase_startup + req + max(scan, net, cpu)
 
     def runtime(self, phases: list["Phase"]) -> float:
@@ -98,5 +97,4 @@ class Phase:
     agg_rows: int = 0         # rows through vectorized filter/agg/distinct
     heap_rows: int = 0        # rows through a top-K heap
     case_columns: int = 0     # CASE columns evaluated S3-side (group-by push)
-    serial_requests: bool = False
     parallel_group: str | None = None  # phases with same tag overlap

@@ -8,10 +8,13 @@ time, or :func:`apply_schema`, a whole frame:
 
 * ``BIGINT``/``INT``    -> ``int64``; ``float64`` if a cell is NULL
 * ``DOUBLE``/``FLOAT``  -> ``float64`` (also when the column is empty)
-* anything else        -> ``str`` (an ``object`` column)
+* anything else        -> ``str`` (an ``object`` column); an empty cell
+  is NULL (``None``)
 
 An empty or non-numeric cell of a numeric column is NULL: NaN in the
 frame, ``None`` in the rows the DataSource yields (:func:`spark_values`).
+S3 Select reads an empty cell as NULL too, so a filter gives the same
+rows whether it runs in S3 Select or in Spark.
 These are the dtypes ``DataFrame.toPandas()`` returns for the same table.
 Numeric cells are read by S3 Select's own coercion
 (``s3sim.sql_eval.cells_to_numbers``, which follows ``pandas.to_numeric``).
@@ -51,7 +54,8 @@ def typed_column(s: pd.Series, sql_type: str) -> pd.Series:
     """One all-string column as the DDL type ``sql_type`` (case-insensitive)."""
     t = sql_type.upper()
     if t not in _INTEGRAL + _FRACTIONAL:
-        return s.astype(str)
+        s = s.astype(str)
+        return s.where(s.to_numpy() != "", None)
     # Parquet columns arrive typed; CSV cells by S3 Select's coercion.
     n = s.to_numpy() if s.dtype != object else cells_to_numbers(
         pa.array(s, type=pa.string(), from_pandas=True)

@@ -134,3 +134,23 @@ def test_parquet_filter_pushdown(spark, ds_store):
 def test_missing_table(spark, ds_store):
     with pytest.raises(Exception):
         read_table(spark, ds_store.root, "missing").count()
+
+
+@pytest.fixture(scope="module")
+def empty_cells_store(spark, tmp_path_factory):
+    import pandas as pd
+
+    store = ObjectStore(tmp_path_factory.mktemp("ds_empty"))
+    pdf = pd.DataFrame({"k": range(9), "c": ["", "a", "x"] * 3})
+    write_table(store, "e", pdf, n_partitions=2)
+    return store
+
+
+@pytest.mark.parametrize("pred", ["c <> 'x'", "c IS NULL", "c IS NOT NULL"])
+def test_empty_string_cells_are_null_on_both_paths(spark, empty_cells_store, pred):
+    """S3 Select reads an empty cell as NULL, so Spark must get NULL too."""
+    root = empty_cells_store.root
+    pushed = read_table(spark, root, "e").filter(pred).toPandas()
+    in_spark = read_table(spark, root, "e", pushdown=False).filter(pred).toPandas()
+    assert sorted(pushed["k"]) == sorted(in_spark["k"])
+    assert pushed.sort_values("k").equals(in_spark.sort_values("k"))

@@ -1,11 +1,11 @@
 """Which phases run through the ``s3select`` DataSource, and which the driver sends.
 
 The rule: if an operator writes the S3 Select text itself -- an
-aggregate, a Bloom build or probe, a ``NOT IN`` tail -- the driver sends
-it (``select_all``/``select_table``), and rows Spark computes on reach it
+aggregate, a Bloom build or probe, a ``NOT IN`` tail, a filtered scan
+whose row count it needs -- the driver sends it
+(``select_all``/``select_table``), and rows Spark computes on reach it
 through ``to_spark``. Only Catalyst-planned scans call ``read_table``: a
-filter pushed through ``pushFilters``, such as sampling top-K's
-threshold scan or ``s3_side_filter``.
+filter pushed through ``pushFilters``, such as ``s3_side_filter``'s.
 """
 import pytest
 
@@ -56,13 +56,20 @@ def test_hybrid_groupby_never_reads_through_the_datasource(
     assert read_table_calls == []
 
 
-def test_sampling_topk_reads_its_threshold_scan_through_the_datasource(
+def test_sampling_topk_and_filtered_join_never_read_through_the_datasource(
     spark, store, tpch_tables, read_table_calls
 ):
-    topk_ops.sampling_topk(
+    """Both count their server rows from the frames their phases received."""
+    topk = topk_ops.sampling_topk(
         spark, new_runner_for(store), tpch_tables["lineitem"], "l_extendedprice", 10
     )
-    assert read_table_calls == ["lineitem"]
+    join = join_ops.filtered_join(
+        spark, new_runner_for(store), tpch_tables["customer"],
+        tpch_tables["orders"], -450, "1995-01-01",
+    )
+    assert read_table_calls == []
+    assert topk.phases[-1].heap_rows >= 10
+    assert join.phases[0].hash_rows > 0
 
 
 def test_s3_side_filter_reads_through_the_datasource(

@@ -1,4 +1,8 @@
 """Tests for table materialization into the object store."""
+import ast
+import json
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
@@ -71,13 +75,56 @@ def test_write_table_parquet_twins(fresh_store, pdf):
     assert t.parquet_bytes > 0
 
 
-def test_read_stored_table_roundtrip(fresh_store, pdf):
+def test_read_stored_table_roundtrip(fresh_store, pdf, monkeypatch):
     t = T.write_table(fresh_store, "t", pdf, n_partitions=3, index_columns=("k",))
+    decoded = []
+    decode = csvio.from_csv_bytes
+    monkeypatch.setattr(
+        csvio, "from_csv_bytes", lambda *a, **kw: decoded.append(1) or decode(*a, **kw)
+    )
     back = T.read_stored_table(fresh_store, "t")
+    assert decoded == []  # the manifest is all an operator reads
     assert back.keys == t.keys
     assert back.n_rows == t.n_rows
     assert back.index_columns == ["k"]
+    assert (back.widths, back.domains) == (t.widths, t.domains)
     pd.testing.assert_frame_equal(back.pdf, t.pdf)
+    assert len(decoded) == 3  # the oracle's copy, loaded on first access
+
+
+def test_manifest_column_statistics(fresh_store):
+    pdf = pd.DataFrame({
+        "k": range(100),
+        "flag": ["R", "A", "", "A"] * 25,  # an empty cell is NULL
+        "v": [i / 3 for i in range(100)],
+        "small": [i % 4 for i in range(100)],
+        "d": pd.to_datetime(["1995-01-02", "1996-03-04"] * 50),
+    })
+    t = T.write_table(fresh_store, "t", pdf, n_partitions=3)
+    # A CSV cell holds str(value): the width is the oracle frame's.
+    assert t.widths == {
+        c: t.pdf[c].astype(str).str.len().mean() for c in t.pdf.columns
+    }
+    assert t.domains == {
+        "flag": ["A", "R"], "small": [0, 1, 2, 3],
+        "d": ["1995-01-02", "1996-03-04"],
+    }
+    assert len(set(pdf["k"])) > T.DOMAIN_CAP
+
+
+def test_no_core_module_but_tables_reads_the_oracle_copy():
+    """Operators read the manifest and the rows they receive, never ``.pdf``."""
+    core = Path(T.__file__).parent
+    readers = [
+        str(path.relative_to(core))
+        for path in sorted(core.rglob("*.py"))
+        if path.name != "tables.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "pdf"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    ]
+    assert readers == []
 
 
 def test_get_or_create_reuses(fresh_store, pdf):
@@ -98,6 +145,19 @@ def test_get_or_create_rebuilds_for_missing_index(fresh_store, pdf):
         fresh_store, "t", lambda: pdf, n_partitions=2, index_columns=("k",)
     )
     assert t.index_columns == ["k"]
+
+
+def test_get_or_create_rebuilds_for_manifest_without_statistics(fresh_store, pdf):
+    T.get_or_create(fresh_store, "t", lambda: pdf, n_partitions=2)
+    manifest = json.loads(fresh_store.get_meta("t/manifest.json"))
+    del manifest["widths"], manifest["domains"]
+    fresh_store.put_meta("t/manifest.json", json.dumps(manifest))
+    calls = []
+    t = T.get_or_create(
+        fresh_store, "t", lambda: calls.append(1) or pdf, n_partitions=2
+    )
+    assert calls == [1]
+    assert t.widths == T.read_stored_table(fresh_store, "t").widths
 
 
 def test_avg_row_bytes(fresh_store, pdf):
