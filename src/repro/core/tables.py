@@ -1,8 +1,10 @@
 """Land synthetic tables in the simulated S3, PushdownDB-style.
 
-Each table is partitioned into multiple CSV objects (PushdownDB loads
-partitions with parallel processes; our Spark datasource maps one input
-partition per object). Alongside the objects we store non-billed
+Tables are landed from pandas frames, without Spark: in the paper they
+are CSV objects already in S3 before any query runs. Each table is
+partitioned into multiple CSV objects (PushdownDB loads partitions with
+parallel processes; our Spark datasource maps one input partition per
+object). Alongside the objects we store non-billed
 metadata: the Spark schema DDL and a manifest of the objects, the row
 and byte counts, and two statistics per column, computed at load time
 from the CSV cells: the mean rendered width, and the sorted values of a
@@ -31,6 +33,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.compute as pc
 
+from repro import synth_data
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.select_engine import select_all
 from repro.s3sim.store import ObjectStore
@@ -308,28 +311,24 @@ def get_or_create(
 
 
 def load_tpch(
-    spark,
     store: ObjectStore,
     *,
     sf: float = 0.01,
     n_partitions: int = 16,
     which: tuple = ("lineitem", "orders", "customer", "part"),
 ) -> dict:
-    """Generate TPC-H-lite tables at ``sf`` and land them in the store.
+    """Land ``synth_data.<name>_frame(sf=sf)`` for each TPC-H-lite ``name``.
 
     Tables already present in the store are reused, so experiment
     modules sharing one store pay generation once. One store root holds
     one scale factor -- use separate roots for different ``sf``.
     """
-    from repro import synth_data
-
-    out = {}
-    for name in which:
-        gen = getattr(synth_data, name)
-        out[name] = get_or_create(
+    return {
+        name: get_or_create(
             store,
             name,
-            lambda gen=gen: gen(spark, sf=sf).toPandas(),
+            lambda gen=getattr(synth_data, f"{name}_frame"): gen(sf=sf),
             n_partitions=n_partitions,
         )
-    return out
+        for name in which
+    }

@@ -12,10 +12,9 @@ engine, which plays that role by construction.)
 """
 from __future__ import annotations
 
-from repro import synth_data
 from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
-from repro.core.tables import get_or_create, load_tpch
-from repro.experiments import common
+from repro.core.tables import load_tpch
+from repro.experiments import common, fig1_filter, fig6_hybrid_split
 
 PAPER = [
     {"metric": "geo-mean speedup (optimized vs baseline)", "paper": "6.7x"},
@@ -24,29 +23,18 @@ PAPER = [
 ]
 
 FILTER_SELECTIVITY = 1e-3
-GROUPBY_THETA = 1.1
 TOPK_K = 100
 VALUE_COLS = ["v1", "v2", "v3", "v4"]
 
 
-def _micro_pairs(spark, store, sf: float):
-    """(name, factor, baseline_result, optimized_result) for the micro ops."""
-    n_filter = max(1000, int(10_000_000 * sf))
-    ft = get_or_create(
-        store,
-        f"fig1_filter_{n_filter}",
-        lambda: synth_data.filter_table(spark, n=n_filter).toPandas(),
-        index_columns=("u",),
-    )
-    n_groups = max(1000, int(5_000_000 * sf))
-    gt = get_or_create(
-        store,
-        f"fig6_groups_zipf_{n_groups}",
-        lambda: synth_data.groups_table(
-            spark, n=n_groups, kind="zipf", theta=GROUPBY_THETA
-        ).toPandas(),
-    )
-    tabs = load_tpch(spark, store, sf=sf)
+def _micro_pairs(spark, store, sf: float, tabs: dict):
+    """(name, factor, baseline_result, optimized_result) for the micro ops.
+
+    The filter and group-by inputs are Fig 1's and Fig 6's tables, at a
+    row count scaled with ``sf``.
+    """
+    ft = fig1_filter.table(store, max(1000, int(10_000_000 * sf)))
+    gt = fig6_hybrid_split.table(store, max(1000, int(5_000_000 * sf)))
     c, o, li = tabs["customer"], tabs["orders"], tabs["lineitem"]
     pred = f"u < {FILTER_SELECTIVITY!r}"
     tf = common.tpch_factor(sf)
@@ -85,11 +73,11 @@ def _micro_pairs(spark, store, sf: float):
 
 
 def run(spark, store, *, sf: float = 0.1, queries=tpch.QUERIES) -> list[dict]:
+    tabs = load_tpch(store, sf=sf)
     rows = []
-    for name, factor, base, opt in _micro_pairs(spark, store, sf):
+    for name, factor, base, opt in _micro_pairs(spark, store, sf, tabs):
         rows.append(common.result_row(base, factor, query=name, config="baseline"))
         rows.append(common.result_row(opt, factor, query=name, config="optimized"))
-    tabs = load_tpch(spark, store, sf=sf)
     tf = common.tpch_factor(sf)
     for q in queries:
         base = tpch.run_baseline(spark, common.new_runner(store), tabs, q)

@@ -48,7 +48,7 @@ def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS, n_cols_sweep=DEFAULT_N_CO
         t = get_or_create(
             store,
             f"fig11_wide_{n_cols}_{n_rows}",
-            lambda: synth_data.wide_table(spark, n=n_rows, n_cols=n_cols).toPandas(),
+            lambda: synth_data.wide_table_frame(n=n_rows, n_cols=n_cols),
             parquet=True,
         )
         factor = common.table_factor(t.total_bytes)

@@ -32,18 +32,18 @@ PAPER = [
 ]
 
 
-def table(spark, store, n_rows: int = DEFAULT_N_ROWS):
+def table(store, n_rows: int = DEFAULT_N_ROWS):
     return get_or_create(
         store,
         f"fig1_filter_{n_rows}",
-        lambda: synth_data.filter_table(spark, n=n_rows).toPandas(),
+        lambda: synth_data.filter_table_frame(n=n_rows),
         index_columns=("u",),
     )
 
 
 def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
         selectivities=DEFAULT_SELECTIVITIES) -> list[dict]:
-    t = table(spark, store, n_rows)
+    t = table(store, n_rows)
     factor = common.table_factor(t.total_bytes)
     rows = []
     for sel in selectivities:

@@ -22,12 +22,8 @@ PAPER = [
 ]
 
 
-def tables(spark, store, sf: float):
-    return load_tpch(spark, store, sf=sf, which=("customer", "orders"))
-
-
 def run(spark, store, *, sf: float = 0.1, sweep=DEFAULT_SWEEP) -> list[dict]:
-    tabs = tables(spark, store, sf)
+    tabs = load_tpch(store, sf=sf, which=("customer", "orders"))
     c, o = tabs["customer"], tabs["orders"]
     factor = common.tpch_factor(sf)
     rows = []

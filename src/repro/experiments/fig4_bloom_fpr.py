@@ -23,7 +23,7 @@ PAPER = [
 
 def run(spark, store, *, sf: float = 0.1, fprs=DEFAULT_FPRS,
         upper_c_acctbal: float = -950) -> list[dict]:
-    tabs = load_tpch(spark, store, sf=sf, which=("customer", "orders"))
+    tabs = load_tpch(store, sf=sf, which=("customer", "orders"))
     c, o = tabs["customer"], tabs["orders"]
     factor = common.tpch_factor(sf)
     rows = []

@@ -27,17 +27,17 @@ PAPER = [
 ]
 
 
-def table(spark, store, n_rows: int = DEFAULT_N_ROWS):
+def table(store, n_rows: int = DEFAULT_N_ROWS):
     return get_or_create(
         store,
         f"fig5_groups_uniform_{n_rows}",
-        lambda: synth_data.groups_table(spark, n=n_rows, kind="uniform").toPandas(),
+        lambda: synth_data.groups_table_frame(n=n_rows, kind="uniform"),
     )
 
 
 def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
         group_counts=DEFAULT_GROUP_COUNTS) -> list[dict]:
-    t = table(spark, store, n_rows)
+    t = table(store, n_rows)
     factor = common.table_factor(t.total_bytes)
     rows = []
     for n_groups in group_counts:

@@ -25,19 +25,17 @@ PAPER = [
 ]
 
 
-def table(spark, store, n_rows: int = DEFAULT_N_ROWS):
+def table(store, n_rows: int = DEFAULT_N_ROWS):
     return get_or_create(
         store,
         f"fig6_groups_zipf_{n_rows}",
-        lambda: synth_data.groups_table(
-            spark, n=n_rows, kind="zipf", theta=THETA
-        ).toPandas(),
+        lambda: synth_data.groups_table_frame(n=n_rows, kind="zipf", theta=THETA),
     )
 
 
 def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
         splits=DEFAULT_SPLITS) -> list[dict]:
-    t = table(spark, store, n_rows)
+    t = table(store, n_rows)
     factor = common.table_factor(t.total_bytes)
     rows = []
     for n_pushed in splits:

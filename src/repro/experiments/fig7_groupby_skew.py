@@ -31,9 +31,7 @@ def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
         t = get_or_create(
             store,
             f"fig7_groups_zipf_{theta}_{n_rows}",
-            lambda: synth_data.groups_table(
-                spark, n=n_rows, kind="zipf", theta=theta
-            ).toPandas(),
+            lambda: synth_data.groups_table_frame(n=n_rows, kind="zipf", theta=theta),
         )
         factor = common.table_factor(t.total_bytes)
         for algo, fn in (

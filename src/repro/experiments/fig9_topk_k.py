@@ -28,7 +28,7 @@ def default_sweep(n_rows: int) -> tuple:
 
 
 def run(spark, store, *, sf: float = 0.1, sweep=None) -> list[dict]:
-    li = load_tpch(spark, store, sf=sf, which=("lineitem",))["lineitem"]
+    li = load_tpch(store, sf=sf, which=("lineitem",))["lineitem"]
     factor = common.tpch_factor(sf)
     sweep = sweep or default_sweep(li.n_rows)
     rows = []

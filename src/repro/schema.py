@@ -8,8 +8,8 @@ time, or :func:`apply_schema`, a whole frame:
 
 * ``BIGINT``/``INT``    -> ``int64``; ``float64`` if a cell is NULL
 * ``DOUBLE``/``FLOAT``  -> ``float64`` (also when the column is empty)
-* anything else        -> ``str`` (an ``object`` column); an empty cell
-  is NULL (``None``)
+* anything else        -> ``str`` (an ``object`` column); an empty cell,
+  or a NULL one from Parquet, is NULL (``None``)
 
 An empty or non-numeric cell of a numeric column is NULL: NaN in the
 frame, ``None`` in the rows the DataSource yields (:func:`spark_values`).
@@ -54,8 +54,8 @@ def typed_column(s: pd.Series, sql_type: str) -> pd.Series:
     """One all-string column as the DDL type ``sql_type`` (case-insensitive)."""
     t = sql_type.upper()
     if t not in _INTEGRAL + _FRACTIONAL:
-        s = s.astype(str)
-        return s.where(s.to_numpy() != "", None)
+        text = s.astype(str)
+        return text.where(s.notna().to_numpy() & (text.to_numpy() != ""), None)
     # Parquet columns arrive typed; CSV cells by S3 Select's coercion.
     n = s.to_numpy() if s.dtype != object else cells_to_numbers(
         pa.array(s, type=pa.string(), from_pandas=True)

@@ -3,10 +3,13 @@
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
 DuckDB oracle sees identical input.
+
+Each table is a pandas core, ``<name>_frame(**kw)``, which ``core.tables``
+lands without Spark; ``<name>(spark, **kw)`` is the same rows as a Spark
+DataFrame. This module does not import pyspark.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -18,12 +21,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
+def lineitem_frame(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "l_orderkey": g.integers(1, n_orders + 1, n),
             "l_partkey": g.integers(1, n_part + 1, n),
@@ -46,14 +49,13 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
             ),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
+def orders_frame(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "o_orderkey": np.arange(1, n + 1),
             "o_custkey": g.integers(1, n_cust + 1, n),
@@ -68,13 +70,12 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
             "o_shippriority": np.zeros(n, dtype="int64"),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
+def part_frame(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
     n = max(1, int(_N_PART_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
             "p_type": g.choice(
@@ -94,13 +95,12 @@ def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
             ),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
+def customer_frame(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "c_custkey": np.arange(1, n + 1),
             "c_nationkey": g.integers(0, 25, n),
@@ -110,7 +110,6 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
             ),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
 # -- PushdownDB reproduction extensions -----------------------------------
@@ -122,7 +121,7 @@ def _zipf_weights(n_keys: int, theta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def filter_table(spark: SparkSession, *, n: int, seed: int = 10) -> DataFrame:
+def filter_table_frame(*, n: int, seed: int = 10) -> pd.DataFrame:
     """Table for the Fig 1 filter sweeps.
 
     ``u`` is uniform on [0, 1), so the predicate ``u < s`` selects an
@@ -130,25 +129,23 @@ def filter_table(spark: SparkSession, *, n: int, seed: int = 10) -> DataFrame:
     width (~100 bytes) so byte-level accounting is meaningful.
     """
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "id": np.arange(1, n + 1),
             "u": g.random(n).round(7),
             "filler": pd.Series(["x" * 80] * n, dtype=str),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def groups_table(
-    spark: SparkSession,
+def groups_table_frame(
     *,
     n: int,
     kind: str = "uniform",
     theta: float = 0.0,
     n_groups: int = 100,
     seed: int = 11,
-) -> DataFrame:
+) -> pd.DataFrame:
     """The paper's SVI-C group-by tables: 10 group cols + 10 value cols.
 
     ``kind='uniform'``: group column ``g{i}`` has ``2**i`` uniformly
@@ -172,17 +169,47 @@ def groups_table(
             raise ValueError(f"unknown kind {kind!r}")
     for i in range(1, 11):
         cols[f"v{i}"] = g.random(n).round(6)
-    return spark.createDataFrame(pd.DataFrame(cols))
+    return pd.DataFrame(cols)
 
 
-def wide_table(spark: SparkSession, *, n: int, n_cols: int, seed: int = 12) -> DataFrame:
+def wide_table_frame(*, n: int, n_cols: int, seed: int = 12) -> pd.DataFrame:
     """Fig 11 tables: ``n_cols`` float columns of limited precision.
 
     The paper used 1/10/20-column tables, each column 100 MB of floats
     rounded to four decimals; ``c1`` doubles as the filter column.
     """
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {f"c{i}": g.random(n).round(4) for i in range(1, n_cols + 1)}
     )
-    return spark.createDataFrame(pdf)
+
+
+# -- Spark DataFrames of the same rows ------------------------------------
+
+
+def lineitem(spark, **kw):
+    return spark.createDataFrame(lineitem_frame(**kw))
+
+
+def orders(spark, **kw):
+    return spark.createDataFrame(orders_frame(**kw))
+
+
+def part(spark, **kw):
+    return spark.createDataFrame(part_frame(**kw))
+
+
+def customer(spark, **kw):
+    return spark.createDataFrame(customer_frame(**kw))
+
+
+def filter_table(spark, **kw):
+    return spark.createDataFrame(filter_table_frame(**kw))
+
+
+def groups_table(spark, **kw):
+    return spark.createDataFrame(groups_table_frame(**kw))
+
+
+def wide_table(spark, **kw):
+    return spark.createDataFrame(wide_table_frame(**kw))

@@ -9,7 +9,9 @@ pytest runs tests sequentially.
 """
 import pytest
 
+from repro import synth_data
 from repro.core.tables import get_or_create, load_tpch
+from repro.experiments import fig1_filter
 from repro.s3sim import ObjectStore
 
 TEST_SF = 0.01
@@ -35,9 +37,9 @@ def fresh_store(tmp_path) -> ObjectStore:
 
 
 @pytest.fixture(scope="session")
-def tpch(spark, store) -> dict:
+def tpch(store) -> dict:
     """TPC-H-lite at SF=0.01 (lineitem 60k rows), 4 objects per table."""
-    return load_tpch(spark, store, sf=TEST_SF, n_partitions=TEST_PARTITIONS)
+    return load_tpch(store, sf=TEST_SF, n_partitions=TEST_PARTITIONS)
 
 
 @pytest.fixture(scope="session")
@@ -47,41 +49,26 @@ def tpch_tables(tpch) -> dict:
 
 
 @pytest.fixture(scope="session")
-def filter_table(spark, store):
-    from repro import synth_data
-
-    # 16 partitions (the benchmark default): projected scan parallelism
-    # matters for the Fig 1 shape assertions.
-    return get_or_create(
-        store,
-        "test_filter_table",
-        lambda: synth_data.filter_table(spark, n=20_000).toPandas(),
-        n_partitions=16,
-        index_columns=("u",),
-    )
+def filter_table(store):
+    """Fig 1's table at 20k rows: 16 objects and an index on ``u``."""
+    return fig1_filter.table(store, 20_000)
 
 
 @pytest.fixture(scope="session")
-def groups_zipf(spark, store):
-    from repro import synth_data
-
+def groups_zipf(store):
     return get_or_create(
         store,
         "test_groups_zipf",
-        lambda: synth_data.groups_table(
-            spark, n=20_000, kind="zipf", theta=1.1
-        ).toPandas(),
+        lambda: synth_data.groups_table_frame(n=20_000, kind="zipf", theta=1.1),
         n_partitions=TEST_PARTITIONS,
     )
 
 
 @pytest.fixture(scope="session")
-def groups_uniform(spark, store):
-    from repro import synth_data
-
+def groups_uniform(store):
     return get_or_create(
         store,
         "test_groups_uniform",
-        lambda: synth_data.groups_table(spark, n=20_000, kind="uniform").toPandas(),
+        lambda: synth_data.groups_table_frame(n=20_000, kind="uniform"),
         n_partitions=TEST_PARTITIONS,
     )

@@ -1,21 +1,36 @@
 """Tests for the synthetic data generators (provided + extensions)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data
 
 
-@pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.002).toPandas()
+@pytest.mark.parametrize("name, kw", [
+    ("lineitem", {"sf": 0.002}),
+    ("orders", {"sf": 0.002}),
+    ("part", {"sf": 0.002}),
+    ("customer", {"sf": 0.002}),
+    ("filter_table", {"n": 1000}),
+    ("groups_table", {"n": 1000, "kind": "zipf", "theta": 1.1}),
+    ("wide_table", {"n": 1000, "n_cols": 3}),
+])
+def test_spark_wrapper_has_the_frames_rows(spark, name, kw):
+    got = getattr(synth_data, name)(spark, **kw).toPandas()
+    pd.testing.assert_frame_equal(got, getattr(synth_data, f"{name}_frame")(**kw))
 
 
 @pytest.fixture(scope="module")
-def pt(spark):
-    return synth_data.part(spark, sf=0.002).toPandas()
+def li():
+    return synth_data.lineitem_frame(sf=0.002)
 
 
-def test_lineitem_rows_scale(spark, li):
+@pytest.fixture(scope="module")
+def pt():
+    return synth_data.part_frame(sf=0.002)
+
+
+def test_lineitem_rows_scale(li):
     assert len(li) == 12_000
 
 
@@ -30,14 +45,14 @@ def test_lineitem_shipmode_domain(li):
     }
 
 
-def test_lineitem_deterministic(spark, li):
-    again = synth_data.lineitem(spark, sf=0.002).toPandas()
+def test_lineitem_deterministic(li):
+    again = synth_data.lineitem_frame(sf=0.002)
     assert (again["l_orderkey"] == li["l_orderkey"]).all()
     assert (again["l_extendedprice"] == li["l_extendedprice"]).all()
 
 
-def test_orders_has_shippriority(spark):
-    o = synth_data.orders(spark, sf=0.002).toPandas()
+def test_orders_has_shippriority():
+    o = synth_data.orders_frame(sf=0.002)
     assert (o["o_shippriority"] == 0).all()
 
 
@@ -50,60 +65,60 @@ def test_part_brand_q19_constants_exist(pt):
     assert {"Brand#12", "Brand#23", "Brand#34"} <= set(pt["p_brand"])
 
 
-def test_customer_acctbal_range(spark):
-    c = synth_data.customer(spark, sf=0.002).toPandas()
+def test_customer_acctbal_range():
+    c = synth_data.customer_frame(sf=0.002)
     assert c["c_acctbal"].min() >= -1000
     assert c["c_acctbal"].max() < 9000
 
 
-def test_filter_table_uniform_selectivity(spark):
-    ft = synth_data.filter_table(spark, n=50_000).toPandas()
+def test_filter_table_uniform_selectivity():
+    ft = synth_data.filter_table_frame(n=50_000)
     sel = (ft["u"] < 0.01).mean()
     assert 0.005 < sel < 0.02  # ~1%
 
 
-def test_filter_table_ids_unique(spark):
-    ft = synth_data.filter_table(spark, n=1000).toPandas()
+def test_filter_table_ids_unique():
+    ft = synth_data.filter_table_frame(n=1000)
     assert ft["id"].is_unique
 
 
-def test_groups_table_uniform_group_counts(spark):
-    gt = synth_data.groups_table(spark, n=20_000, kind="uniform").toPandas()
+def test_groups_table_uniform_group_counts():
+    gt = synth_data.groups_table_frame(n=20_000, kind="uniform")
     for i in (1, 3, 5):
         assert gt[f"g{i}"].nunique() == 2 ** i
 
 
-def test_groups_table_uniform_sizes_balanced(spark):
-    gt = synth_data.groups_table(spark, n=20_000, kind="uniform").toPandas()
+def test_groups_table_uniform_sizes_balanced():
+    gt = synth_data.groups_table_frame(n=20_000, kind="uniform")
     counts = gt["g2"].value_counts()
     assert counts.max() / counts.min() < 1.3
 
 
-def test_groups_table_zipf_skew(spark):
-    gt = synth_data.groups_table(spark, n=20_000, kind="zipf", theta=1.3).toPandas()
+def test_groups_table_zipf_skew():
+    gt = synth_data.groups_table_frame(n=20_000, kind="zipf", theta=1.3)
     top4 = gt["g1"].value_counts().head(4).sum() / len(gt)
     # Paper: theta=1.3 -> 59% of rows in the 4 largest groups.
     assert 0.45 < top4 < 0.75
 
 
-def test_groups_table_zipf_theta_zero_uniform(spark):
-    gt = synth_data.groups_table(spark, n=50_000, kind="zipf", theta=0.0).toPandas()
+def test_groups_table_zipf_theta_zero_uniform():
+    gt = synth_data.groups_table_frame(n=50_000, kind="zipf", theta=0.0)
     counts = gt["g1"].value_counts()
     assert counts.max() / counts.min() < 1.6
 
 
-def test_groups_table_bad_kind(spark):
+def test_groups_table_bad_kind():
     with pytest.raises(ValueError):
-        synth_data.groups_table(spark, n=10, kind="nope").toPandas()
+        synth_data.groups_table_frame(n=10, kind="nope")
 
 
-def test_wide_table_columns(spark):
-    wt = synth_data.wide_table(spark, n=1000, n_cols=10).toPandas()
+def test_wide_table_columns():
+    wt = synth_data.wide_table_frame(n=1000, n_cols=10)
     assert list(wt.columns) == [f"c{i}" for i in range(1, 11)]
 
 
-def test_wide_table_precision(spark):
-    wt = synth_data.wide_table(spark, n=1000, n_cols=1).toPandas()
+def test_wide_table_precision():
+    wt = synth_data.wide_table_frame(n=1000, n_cols=1)
     assert np.allclose(wt["c1"], wt["c1"].round(4))
 
 

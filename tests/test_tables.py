@@ -1,6 +1,9 @@
 """Tests for table materialization into the object store."""
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pandas as pd
@@ -163,3 +166,40 @@ def test_get_or_create_rebuilds_for_manifest_without_statistics(fresh_store, pdf
 def test_avg_row_bytes(fresh_store, pdf):
     t = T.write_table(fresh_store, "t", pdf, n_partitions=1)
     assert 10 < t.avg_row_bytes < 60
+
+
+_LAND_WITHOUT_PYSPARK = """
+import sys
+sys.modules["pyspark"] = None  # importing pyspark now raises ImportError
+from repro import synth_data
+from repro.core.tables import get_or_create, load_tpch
+from repro.s3sim import ObjectStore
+
+store = ObjectStore(sys.argv[1])
+tabs = load_tpch(store, sf=0.002, n_partitions=2)
+for name, build, kw in (
+    ("filter", lambda: synth_data.filter_table_frame(n=1000),
+     {"index_columns": ("u",)}),
+    ("groups", lambda: synth_data.groups_table_frame(n=1000, kind="zipf"), {}),
+    ("wide", lambda: synth_data.wide_table_frame(n=1000, n_cols=3),
+     {"parquet": True}),
+):
+    tabs[name] = get_or_create(store, name, build, n_partitions=2, **kw)
+print({name: t.n_rows for name, t in tabs.items()})
+"""
+
+
+def test_tables_land_without_pyspark(tmp_path):
+    src = str(Path(T.__file__).parents[2])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAND_WITHOUT_PYSPARK, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]
+        )},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str({
+        "lineitem": 12_000, "orders": 3000, "customer": 300, "part": 400,
+        "filter": 1000, "groups": 1000, "wide": 1000,
+    })
