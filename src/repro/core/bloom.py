@@ -15,8 +15,8 @@ Almeida et al. (paper's formulas)::
     m_p = s * |ln p| / (ln 2)^2   bits
 
 The rendered predicate must fit S3 Select's 256 KB SQL limit; callers
-degrade ``p`` (and ultimately fall back to a filtered join) when it
-does not -- see :func:`fit_fpr_to_limit`.
+degrade ``p`` (and ultimately probe without the filter, in a
+``-degraded`` phase) when it does not -- see :func:`fit_fpr_to_limit`.
 """
 from __future__ import annotations
 
@@ -130,8 +130,9 @@ def fit_fpr_to_limit(
 
     Rates are tried in x10 steps from ``fpr``, with 0.5 (a single hash
     function) as the last resort. Returns ``None`` when no achievable
-    rate < 1 fits -- the paper's signal to fall back to a (serial)
-    filtered join.
+    rate < 1 fits -- the paper's signal to fall back: the probe then
+    runs as a ``<name>-degraded`` phase that scans with its own
+    predicate alone (``join_ops.bloom_probe``).
     """
     schedule = []
     p = fpr

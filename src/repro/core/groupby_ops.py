@@ -34,7 +34,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable, select_table, to_spark
+from repro.core.tables import StoredTable, to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim import select_all
 
@@ -56,6 +56,7 @@ def case_aggregate(
     groups: list,
     sums: dict,
     where: str | None = None,
+    **phase_kw,
 ) -> pd.DataFrame:
     """``SUM(expr)`` per group, for each ``{alias: expr}`` of ``sums``, in S3.
 
@@ -63,8 +64,10 @@ def case_aggregate(
     (a ``str`` rendered quoted, an ``int`` bare). Each object of
     ``table`` returns one ``SUM(CASE WHEN <group> THEN expr ELSE 0 END)``
     per (group, alias) over its rows matching ``where``; the driver adds
-    the partials up. Returns one row per group, in ``groups`` order: the
-    group columns, then one float column per alias.
+    the partials up. The requests form phase ``s3-aggregate``, whose
+    ``case_columns`` is #groups x #aliases; ``phase_kw`` land on it too
+    (``parallel_group``). Returns one row per group, in ``groups`` order:
+    the group columns, then one float column per alias.
     """
     def literal(v) -> str:
         return f"'{v}'" if isinstance(v, str) else str(int(v))
@@ -81,7 +84,11 @@ def case_aggregate(
     sql = "SELECT " + ", ".join(items) + " FROM S3Object"
     if where:
         sql += f" WHERE {where}"
-    partials = select_all(runner.store, table.keys, sql)
+    with runner.phase(
+        "s3-aggregate", n_objects=len(table.keys),
+        case_columns=len(groups) * len(sums), **phase_kw,
+    ):
+        partials = select_all(runner.store, table.keys, sql)
     total = pd.concat(partials, ignore_index=True).astype(float).sum()
     return pd.DataFrame(
         [
@@ -130,15 +137,10 @@ def s3_side_groupby(
             ).distinct().collect()
         ]
     groups = sorted(int(g) for g in groups)
-    with runner.phase(
-        "s3-aggregate",
-        n_objects=len(table.keys),
-        case_columns=len(groups) * len(value_cols),
-    ):
-        out = case_aggregate(
-            runner, table, [group_col], [(g,) for g in groups],
-            {f"sum_{v}": f"CAST({v} AS FLOAT)" for v in value_cols},
-        )
+    out = case_aggregate(
+        runner, table, [group_col], [(g,) for g in groups],
+        {f"sum_{v}": f"CAST({v} AS FLOAT)" for v in value_cols},
+    )
     return runner.finish(f"s3-side group-by[{group_col}]", out)
 
 
@@ -154,46 +156,31 @@ def hybrid_groupby(
     # Phase 1: sample the first 1% of each object (rows are randomly
     # ordered by construction, so a prefix is a uniform sample).
     per_object = max(1, math.ceil(table.n_rows * SAMPLE_FRACTION / len(table.keys)))
-    with runner.phase("sample", n_objects=len(table.keys)):
-        samples = select_all(
-            runner.store, table.keys,
-            f"SELECT {group_col} FROM S3Object LIMIT {per_object}",
-        )
-    counts = (
-        pd.concat(samples, ignore_index=True)[group_col].astype(int).value_counts()
-    )
+    sample = runner.scan("sample", table, [group_col], limit=per_object, rows=None)
+    counts = sample[group_col].value_counts()
     pushed = sorted(int(g) for g in counts.head(n_pushed).index)
 
     # Phase 2, concurrently: Q1 pushes CASE sums for the large groups,
     # Q2 ships the remaining rows for server-side aggregation.
     results = []
+    where = None
     if pushed:
-        with runner.phase(
-            "s3-aggregate",
-            n_objects=len(table.keys),
-            case_columns=len(pushed) * len(value_cols),
+        results.append(case_aggregate(
+            runner, table, [group_col], [(g,) for g in pushed],
+            {f"sum_{v}": f"CAST({v} AS FLOAT)" for v in value_cols},
             parallel_group="phase2",
-        ):
-            results.append(case_aggregate(
-                runner, table, [group_col], [(g,) for g in pushed],
-                {f"sum_{v}": f"CAST({v} AS FLOAT)" for v in value_cols},
-            ))
-    with runner.phase(
-        "server-aggregate", n_objects=len(table.keys), parallel_group="phase2"
-    ) as p:
-        where = None
-        if pushed:
-            items = ", ".join(f"'{g}'" for g in pushed)
-            where = f"{group_col} NOT IN ({items})"
-        tail_pdf = select_table(
-            runner.store, table, [group_col] + value_cols, where
-        )
-        p.agg_rows = len(tail_pdf)
-        tail = _spark_groupby(
-            to_spark(spark, table, tail_pdf), group_col, value_cols
-        ).toPandas()
-        if len(tail):
-            results.append(tail)
+        ))
+        items = ", ".join(f"'{g}'" for g in pushed)
+        where = f"{group_col} NOT IN ({items})"
+    tail_pdf = runner.scan(
+        "server-aggregate", table, [group_col] + value_cols, where,
+        rows="agg_rows", parallel_group="phase2",
+    )
+    tail = _spark_groupby(
+        to_spark(spark, table, tail_pdf), group_col, value_cols
+    ).toPandas()
+    if len(tail):
+        results.append(tail)
     out = (
         pd.concat(results, ignore_index=True)
         if results

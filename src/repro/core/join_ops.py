@@ -13,7 +13,7 @@ The evaluation query is Listing 2::
   (``select_table``), join on the server; both scans overlap (one
   phase).
 * ``bloom_join``     -- build side loaded with pushdown, straight into the
-  driver (``select_table``), then :func:`bloom_probe`.
+  driver (``Runner.scan``), then :func:`bloom_probe`.
 
 :func:`bloom_probe` serves ``bloom_join`` and every Bloom probe of the
 TPC-H plans (``core.tpch``: Q3's orders and lineitem, Q14's and Q19's
@@ -28,7 +28,7 @@ SV-B.1.
 The final hash join runs in Spark (Catalyst) on the reduced inputs
 (``to_spark``), so Bloom false positives are eliminated and results stay
 exact. Every pushed-down phase's ``hash_rows`` is the number of rows it
-received.
+received (``Runner.scan``).
 """
 from __future__ import annotations
 
@@ -137,16 +137,9 @@ def bloom_probe(
             return apply_schema(pd.DataFrame(columns=columns), table.schema_ddl)
     bloom = fit_fpr_to_limit(build_keys, fpr, key_column, _SQL_BUDGET, seed=seed)
     if bloom is None:
-        name += "-degraded"
-    else:
-        where = " AND ".join(w for w in (where, bloom.to_predicate(key_column)) if w)
-    with runner.phase(
-        name, n_objects=len(table.keys),
-        case_columns=0 if bloom is None else bloom.k,
-    ) as p:
-        out = select_table(runner.store, table, columns, where)
-        p.hash_rows = len(out)
-    return out
+        return runner.scan(f"{name}-degraded", table, columns, where)
+    where = " AND ".join(w for w in (where, bloom.to_predicate(key_column)) if w)
+    return runner.scan(name, table, columns, where, case_columns=bloom.k)
 
 
 def bloom_join(
@@ -161,11 +154,9 @@ def bloom_join(
 ) -> QueryResult:
     """Bloom join: probe-side scan is pre-filtered inside S3 Select."""
     # Build phase: load the (filtered, projected) small table.
-    with runner.phase("build", n_objects=len(customer.keys)) as p:
-        c_pdf = select_table(
-            runner.store, customer, _BUILD_COLS, _acctbal_pred(upper_c_acctbal)
-        )
-        p.hash_rows = len(c_pdf)
+    c_pdf = runner.scan(
+        "build", customer, _BUILD_COLS, _acctbal_pred(upper_c_acctbal)
+    )
     o_pdf = bloom_probe(
         runner, "probe", c_pdf["c_custkey"], orders, _PROBE_COLS,
         _date_pred(upper_o_orderdate), "o_custkey", fpr=fpr, seed=seed,

@@ -2,10 +2,11 @@
 
 Operators declare their phases with the :class:`Runner.phase` context
 manager; S3 usage inside the block is attributed to that phase by
-diffing the store's usage log. ``finish`` assembles a
-:class:`QueryResult` with the modeled runtime (PerfModel over phases)
-and the dollar cost (paper SII-B pricing over total usage + modeled
-compute time).
+diffing the store's usage log. :meth:`Runner.scan` is the phase of one
+driver-sent ``select_table``: its server rows are the rows it received.
+``finish`` assembles a :class:`QueryResult` with the modeled runtime
+(the calibrated ``PERF`` over phases) and the dollar cost (paper SII-B
+``PRICING`` over total usage + modeled compute time).
 
 ``QueryResult.project(factor)`` linearly scales usage and server-side
 row counts to another data scale -- used to report numbers at the
@@ -18,10 +19,15 @@ from dataclasses import dataclass, replace
 
 import pandas as pd
 
+from repro.core.tables import StoredTable, select_table
 from repro.costmodel.perf import PerfModel, Phase
 from repro.costmodel.pricing import CostBreakdown, Pricing
 from repro.s3sim.store import ObjectStore
 from repro.s3sim.usage import Usage
+
+# The calibrated runtime model (DESIGN.md S6) and the paper's prices.
+PERF = PerfModel()
+PRICING = Pricing()
 
 
 @dataclass
@@ -35,7 +41,14 @@ class QueryResult:
     runtime_s: float
     cost: CostBreakdown
 
-    def project(self, factor: float, perf: PerfModel, pricing: Pricing) -> "QueryResult":
+    @classmethod
+    def of(cls, name: str, df: pd.DataFrame, phases: list) -> "QueryResult":
+        """Total usage, modeled runtime and cost of ``phases``."""
+        total = sum((p.usage for p in phases), Usage())
+        runtime = PERF.runtime(phases)
+        return cls(name, df, total, phases, runtime, PRICING.cost(total, runtime))
+
+    def project(self, factor: float) -> "QueryResult":
         """Recompute runtime/cost as if data were ``factor``x larger.
 
         Bytes and server row counts scale linearly with table size.
@@ -64,32 +77,14 @@ class QueryResult:
             )
             for p in self.phases
         ]
-        runtime = perf.runtime(phases)
-        total = Usage()
-        for p in phases:
-            total += p.usage
-        return QueryResult(
-            name=self.name,
-            df=self.df,
-            usage=total,
-            phases=phases,
-            runtime_s=runtime,
-            cost=pricing.cost(total, runtime),
-        )
+        return QueryResult.of(self.name, self.df, phases)
 
 
 class Runner:
     """Phase-scoped usage attribution for one query execution."""
 
-    def __init__(
-        self,
-        store: ObjectStore,
-        perf: PerfModel | None = None,
-        pricing: Pricing | None = None,
-    ):
+    def __init__(self, store: ObjectStore):
         self.store = store
-        self.perf = perf or PerfModel()
-        self.pricing = pricing or Pricing()
         self.phases: list[Phase] = []
 
     @contextmanager
@@ -109,17 +104,32 @@ class Runner:
             p.usage = self.store.log.read_since(pos)
             self.phases.append(p)
 
+    def scan(
+        self,
+        name: str,
+        table: StoredTable,
+        columns: list,
+        where: str | None = None,
+        *,
+        limit: int | None = None,
+        rows: str | None = "hash_rows",
+        **phase_kw,
+    ) -> pd.DataFrame:
+        """``select_table(store, table, columns, where, limit)`` as phase ``name``.
+
+        The phase scans every object of ``table``, and its ``rows``
+        field (``hash_rows``, ``agg_rows`` or ``heap_rows``) is the
+        number of rows received: a pushed-down phase's server work is
+        what it fetched. ``rows=None`` charges none (a sample, whose
+        rows the model does not count). ``phase_kw`` land on the
+        :class:`Phase` (``case_columns``, ``parallel_group``).
+        """
+        with self.phase(name, n_objects=len(table.keys), **phase_kw) as p:
+            out = select_table(self.store, table, columns, where, limit=limit)
+            if rows is not None:
+                setattr(p, rows, len(out))
+        return out
+
     def finish(self, name: str, df: pd.DataFrame) -> QueryResult:
         """Build the QueryResult for the recorded phases."""
-        total = Usage()
-        for p in self.phases:
-            total += p.usage
-        runtime = self.perf.runtime(self.phases)
-        return QueryResult(
-            name=name,
-            df=df,
-            usage=total,
-            phases=self.phases,
-            runtime_s=runtime,
-            cost=self.pricing.cost(total, runtime),
-        )
+        return QueryResult.of(name, df, self.phases)

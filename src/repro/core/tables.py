@@ -112,20 +112,27 @@ def schema_ddl(pdf: pd.DataFrame) -> str:
 
 
 def select_table(
-    store: ObjectStore, table: StoredTable, columns: list, where: str | None = None
+    store: ObjectStore,
+    table: StoredTable,
+    columns: list,
+    where: str | None = None,
+    limit: int | None = None,
 ) -> pd.DataFrame:
     """``columns`` of ``table``'s rows matching ``where``, fetched by the driver.
 
     One S3 Select request per object (``select_all``), typed by the
     table's DDL: the rows, usage and dtypes of
     ``read_table(spark, root, name, columns=columns).filter(where).toPandas()``
-    without a Spark job. Every request whose S3 Select text an operator
-    writes goes through here; ``to_spark`` hands the rows to Spark when
-    Spark computes on them.
+    without a Spark job. ``limit`` caps the rows of *each* object (a
+    prefix sample; with no ``where`` the scan stops early). Every request
+    whose S3 Select text an operator writes goes through here;
+    ``to_spark`` hands the rows to Spark when Spark computes on them.
     """
     sql = f"SELECT {', '.join(columns)} FROM S3Object"
     if where:
         sql += f" WHERE {where}"
+    if limit is not None:
+        sql += f" LIMIT {limit}"
     frames = select_all(store, table.keys, sql)
     return apply_schema(pd.concat(frames, ignore_index=True), table.schema_ddl)
 

@@ -9,7 +9,7 @@ Evaluation query (Listing 6)::
   (a prefix per object: rows are randomly ordered by construction, the
   paper's "if the data in the table is random" case) and takes the K-th
   smallest as a conservative threshold; phase 2 loads only rows at or
-  below the threshold via S3 Select (the driver's ``select_table``) and
+  below the threshold via S3 Select (the driver's ``Runner.scan``) and
   finishes the top-K on the server (Spark, through ``to_spark``).
   Sampling guarantees >= K qualifying rows, so the result is exact; the
   phase's ``heap_rows`` is the number of rows it received.
@@ -23,12 +23,9 @@ from __future__ import annotations
 
 import math
 
-import pandas as pd
-
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable, select_table, to_spark
+from repro.core.tables import StoredTable, to_spark
 from repro.datasource.s3select import read_table
-from repro.s3sim import select_all
 
 
 def alpha_fraction(table: StoredTable, order_col: str) -> float:
@@ -69,21 +66,14 @@ def sampling_topk(
     s = int(min(table.n_rows, max(k, s)))
     per_object = max(1, math.ceil(s / len(table.keys)))
 
-    with runner.phase("sample", n_objects=len(table.keys)):
-        samples = select_all(
-            runner.store, table.keys,
-            f"SELECT {order_col} FROM S3Object LIMIT {per_object}",
-        )
-    sampled = pd.concat(samples, ignore_index=True)[order_col].astype(float)
-    threshold = float(sampled.nsmallest(k).iloc[-1])
+    sample = runner.scan("sample", table, [order_col], limit=per_object, rows=None)
+    threshold = float(sample[order_col].nsmallest(k).iloc[-1])
 
-    with runner.phase("scan", n_objects=len(table.keys)) as p:
-        rows = select_table(
-            runner.store, table, table.columns,
-            f"CAST({order_col} AS FLOAT) <= {threshold!r}",
-        )
-        p.heap_rows = len(rows)
-        out = to_spark(spark, table, rows).orderBy(order_col).limit(k).toPandas()
+    rows = runner.scan(
+        "scan", table, table.columns,
+        f"CAST({order_col} AS FLOAT) <= {threshold!r}", rows="heap_rows",
+    )
+    out = to_spark(spark, table, rows).orderBy(order_col).limit(k).toPandas()
     assert len(out) == k or len(out) == table.n_rows, (
         "sampling threshold must admit at least K rows"
     )

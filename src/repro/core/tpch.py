@@ -14,9 +14,10 @@ For each query we provide:
   (Q3/Q14/Q17/Q19: each probe is ``join_ops.bloom_probe``), with the
   final exact joins/aggregates in Spark. Every request whose S3 Select
   text the plan writes -- aggregates, Bloom build sides and Bloom
-  probes -- is sent by the driver (``select_all``/``select_table``);
-  rows Spark joins or aggregates reach it through ``to_spark``. Only
-  the baseline reads through the ``s3select`` DataSource.
+  probes -- is sent by the driver (``select_all``, or ``Runner.scan``
+  for a build side); rows Spark joins or aggregates reach it through
+  ``to_spark``. Only the baseline reads through the ``s3select``
+  DataSource.
 
 Queries are adapted to the TPC-H-lite schema (see DESIGN.md S7): the
 selection constants are TPC-H's; text columns we do not generate are
@@ -32,7 +33,7 @@ import pyspark.sql.functions as F
 from repro.core.groupby_ops import case_aggregate
 from repro.core.join_ops import bloom_probe
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import select_table, to_spark
+from repro.core.tables import to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim.select_engine import select_all
 
@@ -186,15 +187,10 @@ def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
         "sum_disc": "CAST(l_discount AS FLOAT)",
         "count_order": "1",
     }
-    with runner.phase(
-        "s3-aggregate",
-        n_objects=len(li.keys),
-        case_columns=len(combos) * len(sums),
-    ):
-        agg = case_aggregate(
-            runner, li, ["l_returnflag", "l_linestatus"], combos, sums,
-            "l_shipdate <= '1998-09-02'",
-        )
+    agg = case_aggregate(
+        runner, li, ["l_returnflag", "l_linestatus"], combos, sums,
+        "l_shipdate <= '1998-09-02'",
+    )
     agg = agg[agg["count_order"] > 0].reset_index(drop=True)
     for avg, total in (
         ("avg_qty", "sum_qty"), ("avg_price", "sum_base_price"),
@@ -208,12 +204,9 @@ def _opt_q1(spark, runner: Runner, tables: dict) -> QueryResult:
 def _opt_q3(spark, runner: Runner, tables: dict) -> QueryResult:
     """customer -> bloom -> orders -> bloom -> lineitem pipeline."""
     c, o, li = tables["customer"], tables["orders"], tables["lineitem"]
-    with runner.phase("customer", n_objects=len(c.keys)) as p:
-        c_pdf = select_table(
-            runner.store, c, ["c_custkey", "c_mktsegment"],
-            "c_mktsegment = 'BUILDING'",
-        )
-        p.hash_rows = len(c_pdf)
+    c_pdf = runner.scan(
+        "customer", c, ["c_custkey", "c_mktsegment"], "c_mktsegment = 'BUILDING'"
+    )
     o_pdf = bloom_probe(
         runner, "orders", c_pdf["c_custkey"], o,
         ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
@@ -269,13 +262,11 @@ def _opt_q6(spark, runner: Runner, tables: dict) -> QueryResult:
 def _opt_q14(spark, runner: Runner, tables: dict) -> QueryResult:
     """Date-filtered lineitem -> bloom -> part; CASE ratio in Spark."""
     li, pt = tables["lineitem"], tables["part"]
-    with runner.phase("lineitem", n_objects=len(li.keys)) as p:
-        li_pdf = select_table(
-            runner.store, li,
-            ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-            "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'",
-        )
-        p.hash_rows = len(li_pdf)
+    li_pdf = runner.scan(
+        "lineitem", li,
+        ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'",
+    )
     pt_df = to_spark(spark, pt, bloom_probe(
         runner, "part", li_pdf["l_partkey"], pt, ["p_partkey", "p_type"],
         None, "p_partkey",
@@ -293,12 +284,10 @@ def _opt_q14(spark, runner: Runner, tables: dict) -> QueryResult:
 def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
     """Filtered part -> bloom -> lineitem; correlated AVG in Spark."""
     li, pt = tables["lineitem"], tables["part"]
-    with runner.phase("part", n_objects=len(pt.keys)) as p:
-        pt_pdf = select_table(
-            runner.store, pt, ["p_partkey", "p_brand", "p_container"],
-            "p_brand = 'Brand#23' AND p_container = 'MED BOX'",
-        )
-        p.hash_rows = len(pt_pdf)
+    pt_pdf = runner.scan(
+        "part", pt, ["p_partkey", "p_brand", "p_container"],
+        "p_brand = 'Brand#23' AND p_container = 'MED BOX'",
+    )
     li_df = to_spark(spark, li, bloom_probe(
         runner, "lineitem", pt_pdf["p_partkey"], li,
         ["l_partkey", "l_quantity", "l_extendedprice"], None, "l_partkey",
@@ -332,16 +321,14 @@ def _opt_q19(spark, runner: Runner, tables: dict) -> QueryResult:
         " AND CAST(l_quantity AS FLOAT) >= 1"
         " AND CAST(l_quantity AS FLOAT) <= 30"
     )
-    with runner.phase("lineitem", n_objects=len(li.keys)) as p:
-        li_pdf = select_table(
-            runner.store, li,
-            [
-                "l_partkey", "l_quantity", "l_extendedprice", "l_discount",
-                "l_shipmode", "l_shipinstruct",
-            ],
-            li_where,
-        )
-        p.hash_rows = len(li_pdf)
+    li_pdf = runner.scan(
+        "lineitem", li,
+        [
+            "l_partkey", "l_quantity", "l_extendedprice", "l_discount",
+            "l_shipmode", "l_shipinstruct",
+        ],
+        li_where,
+    )
     pt_where = (
         "CAST(p_size AS FLOAT) >= 1 AND CAST(p_size AS FLOAT) <= 15"
         " AND p_brand IN ('Brand#12', 'Brand#23', 'Brand#34')"

@@ -14,18 +14,9 @@ TPC-H SF=10); synthetic-table experiments use ``10 GiB / table bytes``
 """
 from __future__ import annotations
 
-from repro.core.runner import QueryResult, Runner
-from repro.costmodel.perf import PerfModel
-from repro.costmodel.pricing import Pricing
-from repro.s3sim.store import ObjectStore
+from repro.core.runner import QueryResult
 
 PAPER_TABLE_BYTES = 10 * 1024 ** 3
-PERF = PerfModel()
-PRICING = Pricing()
-
-
-def new_runner(store: ObjectStore) -> Runner:
-    return Runner(store, perf=PERF, pricing=PRICING)
 
 
 def tpch_factor(sf: float) -> float:
@@ -40,7 +31,7 @@ def table_factor(table_bytes: int) -> float:
 
 def result_row(result: QueryResult, factor: float, **extra) -> dict:
     """Flatten a QueryResult into an experiment row (both scales)."""
-    projected = result.project(factor, PERF, PRICING)
+    projected = result.project(factor)
     row = {
         **extra,
         "runtime_s": round(result.runtime_s, 4),

@@ -13,6 +13,7 @@ engine, which plays that role by construction.)
 from __future__ import annotations
 
 from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
+from repro.core.runner import Runner
 from repro.core.tables import load_tpch
 from repro.experiments import common, fig1_filter, fig6_hybrid_split
 
@@ -41,33 +42,33 @@ def _micro_pairs(spark, store, sf: float, tabs: dict):
     yield (
         "filter",
         common.table_factor(ft.total_bytes),
-        filter_ops.server_side_filter(spark, common.new_runner(store), ft, pred),
-        filter_ops.s3_side_filter(spark, common.new_runner(store), ft, pred),
+        filter_ops.server_side_filter(spark, Runner(store), ft, pred),
+        filter_ops.s3_side_filter(spark, Runner(store), ft, pred),
     )
     yield (
         "join",
         tf,
-        join_ops.baseline_join(spark, common.new_runner(store), c, o, -950, None),
-        join_ops.bloom_join(spark, common.new_runner(store), c, o, -950, None),
+        join_ops.baseline_join(spark, Runner(store), c, o, -950, None),
+        join_ops.bloom_join(spark, Runner(store), c, o, -950, None),
     )
     yield (
         "group-by",
         common.table_factor(gt.total_bytes),
         groupby_ops.server_side_groupby(
-            spark, common.new_runner(store), gt, "g1", VALUE_COLS
+            spark, Runner(store), gt, "g1", VALUE_COLS
         ),
         groupby_ops.hybrid_groupby(
-            spark, common.new_runner(store), gt, "g1", VALUE_COLS
+            spark, Runner(store), gt, "g1", VALUE_COLS
         ),
     )
     yield (
         "top-k",
         tf,
         topk_ops.server_side_topk(
-            spark, common.new_runner(store), li, "l_extendedprice", TOPK_K
+            spark, Runner(store), li, "l_extendedprice", TOPK_K
         ),
         topk_ops.sampling_topk(
-            spark, common.new_runner(store), li, "l_extendedprice", TOPK_K
+            spark, Runner(store), li, "l_extendedprice", TOPK_K
         ),
     )
 
@@ -80,8 +81,8 @@ def run(spark, store, *, sf: float = 0.1, queries=tpch.QUERIES) -> list[dict]:
         rows.append(common.result_row(opt, factor, query=name, config="optimized"))
     tf = common.tpch_factor(sf)
     for q in queries:
-        base = tpch.run_baseline(spark, common.new_runner(store), tabs, q)
-        opt = tpch.run_optimized(spark, common.new_runner(store), tabs, q)
+        base = tpch.run_baseline(spark, Runner(store), tabs, q)
+        opt = tpch.run_optimized(spark, Runner(store), tabs, q)
         rows.append(common.result_row(base, tf, query=q, config="baseline"))
         rows.append(common.result_row(opt, tf, query=q, config="optimized"))
     return rows

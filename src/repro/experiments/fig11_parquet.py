@@ -12,7 +12,7 @@ On the 1-column table the formats are close.
 from __future__ import annotations
 
 from repro import synth_data
-from repro.core import filter_ops
+from repro.core.runner import Runner
 from repro.core.tables import get_or_create
 from repro.experiments import common
 
@@ -31,7 +31,7 @@ def _run_one(spark, store, t, fmt: str, sel: float):
     """S3-side filter returning the single filtered column c1."""
     from repro.datasource.s3select import read_table
 
-    runner = common.new_runner(store)
+    runner = Runner(store)
     with runner.phase("s3-filter", n_objects=len(t.keys)) as p:
         df = read_table(
             spark, runner.store.root, t.name, columns=["c1"], fmt=fmt

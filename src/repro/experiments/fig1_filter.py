@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro import synth_data
 from repro.core import filter_ops
+from repro.core.runner import Runner
 from repro.core.tables import get_or_create
 from repro.experiments import common
 
@@ -48,12 +49,12 @@ def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
     rows = []
     for sel in selectivities:
         pred = f"u < {sel!r}"
-        r = filter_ops.server_side_filter(spark, common.new_runner(store), t, pred)
+        r = filter_ops.server_side_filter(spark, Runner(store), t, pred)
         rows.append(common.result_row(r, factor, selectivity=sel, algo="server-side"))
-        r = filter_ops.s3_side_filter(spark, common.new_runner(store), t, pred)
+        r = filter_ops.s3_side_filter(spark, Runner(store), t, pred)
         rows.append(common.result_row(r, factor, selectivity=sel, algo="s3-side"))
         r = filter_ops.s3_index_filter(
-            spark, common.new_runner(store), t, "u", "<", sel
+            spark, Runner(store), t, "u", "<", sel
         )
         rows.append(common.result_row(r, factor, selectivity=sel, algo="s3-index"))
     return rows

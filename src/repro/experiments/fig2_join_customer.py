@@ -10,6 +10,7 @@ its runtime advantage.
 from __future__ import annotations
 
 from repro.core import join_ops
+from repro.core.runner import Runner
 from repro.core.tables import load_tpch
 from repro.experiments import common
 
@@ -33,7 +34,7 @@ def run(spark, store, *, sf: float = 0.1, sweep=DEFAULT_SWEEP) -> list[dict]:
             ("filtered", join_ops.filtered_join),
             ("bloom", join_ops.bloom_join),
         ):
-            r = fn(spark, common.new_runner(store), c, o, acctbal, None)
+            r = fn(spark, Runner(store), c, o, acctbal, None)
             rows.append(
                 common.result_row(r, factor, upper_c_acctbal=acctbal, algo=algo)
             )

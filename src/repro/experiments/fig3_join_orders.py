@@ -11,6 +11,7 @@ predicate; Bloom cost is comparable or cheaper.
 from __future__ import annotations
 
 from repro.core import join_ops
+from repro.core.runner import Runner
 from repro.core.tables import load_tpch
 from repro.experiments import common
 
@@ -37,7 +38,7 @@ def run(spark, store, *, sf: float = 0.1, sweep=DEFAULT_SWEEP,
             ("filtered", join_ops.filtered_join),
             ("bloom", join_ops.bloom_join),
         ):
-            r = fn(spark, common.new_runner(store), c, o, upper_c_acctbal, date)
+            r = fn(spark, Runner(store), c, o, upper_c_acctbal, date)
             rows.append(
                 common.result_row(
                     r, factor, upper_o_orderdate=date or "None", algo=algo

@@ -10,6 +10,7 @@ included as flat references.
 from __future__ import annotations
 
 from repro.core import join_ops
+from repro.core.runner import Runner
 from repro.core.tables import load_tpch
 from repro.experiments import common
 
@@ -31,11 +32,11 @@ def run(spark, store, *, sf: float = 0.1, fprs=DEFAULT_FPRS,
         ("baseline", join_ops.baseline_join),
         ("filtered", join_ops.filtered_join),
     ):
-        r = fn(spark, common.new_runner(store), c, o, upper_c_acctbal, None)
+        r = fn(spark, Runner(store), c, o, upper_c_acctbal, None)
         rows.append(common.result_row(r, factor, fpr="-", algo=algo))
     for fpr in fprs:
         r = join_ops.bloom_join(
-            spark, common.new_runner(store), c, o, upper_c_acctbal, None, fpr=fpr
+            spark, Runner(store), c, o, upper_c_acctbal, None, fpr=fpr
         )
         rows.append(common.result_row(r, factor, fpr=fpr, algo="bloom"))
     return rows

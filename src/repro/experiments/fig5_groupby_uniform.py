@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro import synth_data
 from repro.core import groupby_ops
+from repro.core.runner import Runner
 from repro.core.tables import get_or_create
 from repro.experiments import common
 
@@ -47,7 +48,7 @@ def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
             ("filtered", groupby_ops.filtered_groupby),
             ("s3-side", groupby_ops.s3_side_groupby),
         ):
-            r = fn(spark, common.new_runner(store), t, gcol, VALUE_COLS)
+            r = fn(spark, Runner(store), t, gcol, VALUE_COLS)
             rows.append(
                 common.result_row(r, factor, n_groups=n_groups, algo=algo)
             )

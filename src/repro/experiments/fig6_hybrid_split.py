@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro import synth_data
 from repro.core import groupby_ops
+from repro.core.runner import PERF, Runner
 from repro.core.tables import get_or_create
 from repro.experiments import common
 
@@ -40,15 +41,15 @@ def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
     rows = []
     for n_pushed in splits:
         r = groupby_ops.hybrid_groupby(
-            spark, common.new_runner(store), t, "g1", VALUE_COLS, n_pushed=n_pushed
+            spark, Runner(store), t, "g1", VALUE_COLS, n_pushed=n_pushed
         )
         row = common.result_row(r, factor, n_pushed=n_pushed)
-        projected = r.project(factor, common.PERF, common.PRICING)
+        projected = r.project(factor)
         for p in projected.phases:
             if p.name == "s3-aggregate":
-                row["s3_agg_s_10gb"] = round(common.PERF.phase_time(p), 3)
+                row["s3_agg_s_10gb"] = round(PERF.phase_time(p), 3)
             if p.name == "server-aggregate":
-                row["server_agg_s_10gb"] = round(common.PERF.phase_time(p), 3)
+                row["server_agg_s_10gb"] = round(PERF.phase_time(p), 3)
                 row["tail_bytes_returned"] = p.usage.bytes_returned
         row.setdefault("s3_agg_s_10gb", 0.0)
         rows.append(row)

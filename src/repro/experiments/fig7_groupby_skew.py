@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro import synth_data
 from repro.core import groupby_ops
+from repro.core.runner import Runner
 from repro.core.tables import get_or_create
 from repro.experiments import common
 
@@ -39,7 +40,7 @@ def run(spark, store, *, n_rows: int = DEFAULT_N_ROWS,
             ("filtered", groupby_ops.filtered_groupby),
             ("hybrid", groupby_ops.hybrid_groupby),
         ):
-            r = fn(spark, common.new_runner(store), t, "g1", VALUE_COLS)
+            r = fn(spark, Runner(store), t, "g1", VALUE_COLS)
             rows.append(common.result_row(r, factor, theta=theta, algo=algo))
     return rows
 

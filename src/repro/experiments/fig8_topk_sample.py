@@ -10,6 +10,7 @@ with our N.
 from __future__ import annotations
 
 from repro.core import topk_ops
+from repro.core.runner import PERF, Runner
 from repro.core.tables import load_tpch
 from repro.experiments import common
 
@@ -40,15 +41,15 @@ def run(spark, store, *, sf: float = 0.1, k: int = DEFAULT_K,
     rows = []
     for s in sweep:
         r = topk_ops.sampling_topk(
-            spark, common.new_runner(store), li, "l_extendedprice", k, sample_size=s
+            spark, Runner(store), li, "l_extendedprice", k, sample_size=s
         )
         row = common.result_row(r, factor, sample_size=s)
-        projected = r.project(factor, common.PERF, common.PRICING)
+        projected = r.project(factor)
         for p in projected.phases:
             if p.name == "sample":
-                row["sample_s_10gb"] = round(common.PERF.phase_time(p), 3)
+                row["sample_s_10gb"] = round(PERF.phase_time(p), 3)
             if p.name == "scan":
-                row["scan_s_10gb"] = round(common.PERF.phase_time(p), 3)
+                row["scan_s_10gb"] = round(PERF.phase_time(p), 3)
         rows.append(row)
     rows.append(
         {

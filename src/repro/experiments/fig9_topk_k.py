@@ -9,6 +9,7 @@ sampling top-K is consistently faster *and* cheaper than server-side.
 from __future__ import annotations
 
 from repro.core import topk_ops
+from repro.core.runner import Runner
 from repro.core.tables import load_tpch
 from repro.experiments import common
 
@@ -34,11 +35,11 @@ def run(spark, store, *, sf: float = 0.1, sweep=None) -> list[dict]:
     rows = []
     for k in sweep:
         r = topk_ops.server_side_topk(
-            spark, common.new_runner(store), li, "l_extendedprice", k
+            spark, Runner(store), li, "l_extendedprice", k
         )
         rows.append(common.result_row(r, factor, k=k, algo="server-side"))
         r = topk_ops.sampling_topk(
-            spark, common.new_runner(store), li, "l_extendedprice", k
+            spark, Runner(store), li, "l_extendedprice", k
         )
         rows.append(common.result_row(r, factor, k=k, algo="sampling"))
     return rows

@@ -1,9 +1,9 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(got, sql, **tables)`` runs ``sql`` in DuckDB over
+``tables`` and asserts the sorted rows match ``got`` (a plan's pandas
+result, ``QueryResult.df``). This catches wrong results from a
+rewritten plan or a custom operator — "it ran" is not "it is correct".
 
 ``tables`` are pandas DataFrames (e.g. ``StoredTable.pdf``). Alias
 every output column identically on both sides (Spark names ``count(*)``
@@ -13,7 +13,6 @@ compared here.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,7 +24,7 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(got: pd.DataFrame, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
@@ -33,7 +32,6 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

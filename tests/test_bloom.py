@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pandas as pd
-import pytest
 from hypothesis import given, settings, strategies as hst
 
 from repro.core import bloom

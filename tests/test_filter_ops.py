@@ -19,7 +19,7 @@ def test_filter_algorithms_match_oracle(spark, store, filter_table, sel, algo):
     else:
         r = filter_ops.s3_index_filter(spark, new_runner_for(store), t, "u", "<", sel)
     assert_equivalent(
-        spark.createDataFrame(r.df),
+        r.df,
         f"SELECT * FROM ftab WHERE u < {sel}",
         ftab=t.pdf,
     )
@@ -95,9 +95,9 @@ def test_runtime_model_prefers_s3_side(spark, store, filter_table):
     f = common.table_factor(filter_table.total_bytes)
     server = filter_ops.server_side_filter(
         spark, new_runner_for(store), filter_table, "u < 0.001"
-    ).project(f, common.PERF, common.PRICING)
+    ).project(f)
     s3 = filter_ops.s3_side_filter(
         spark, new_runner_for(store), filter_table, "u < 0.001"
-    ).project(f, common.PERF, common.PRICING)
+    ).project(f)
     assert server.runtime_s / s3.runtime_s > 3.0
     assert s3.cost.total > server.cost.total  # paper: s3-side costs more

@@ -25,7 +25,7 @@ def _oracle_sql(gcol, vcols):
 def test_groupby_zipf_matches_oracle(spark, store, groups_zipf, algo, gcol):
     r = ALGOS[algo](spark, new_runner_for(store), groups_zipf, gcol, VCOLS)
     assert_equivalent(
-        spark.createDataFrame(r.df), _oracle_sql(gcol, VCOLS), gtab=groups_zipf.pdf
+        r.df, _oracle_sql(gcol, VCOLS), gtab=groups_zipf.pdf
     )
 
 
@@ -33,7 +33,7 @@ def test_groupby_zipf_matches_oracle(spark, store, groups_zipf, algo, gcol):
 def test_groupby_uniform_matches_oracle(spark, store, groups_uniform, algo):
     r = ALGOS[algo](spark, new_runner_for(store), groups_uniform, "g3", VCOLS)
     assert_equivalent(
-        spark.createDataFrame(r.df), _oracle_sql("g3", VCOLS), gtab=groups_uniform.pdf
+        r.df, _oracle_sql("g3", VCOLS), gtab=groups_uniform.pdf
     )
 
 
@@ -42,7 +42,7 @@ def test_single_value_column(spark, store, groups_zipf):
         spark, new_runner_for(store), groups_zipf, "g2", ["v7"]
     )
     assert_equivalent(
-        spark.createDataFrame(r.df), _oracle_sql("g2", ["v7"]), gtab=groups_zipf.pdf
+        r.df, _oracle_sql("g2", ["v7"]), gtab=groups_zipf.pdf
     )
 
 
@@ -79,7 +79,7 @@ def test_hybrid_split_extremes_match_oracle(spark, store, groups_zipf, n_pushed)
         spark, new_runner_for(store), groups_zipf, "g1", VCOLS, n_pushed=n_pushed
     )
     assert_equivalent(
-        spark.createDataFrame(r.df), _oracle_sql("g1", VCOLS), gtab=groups_zipf.pdf
+        r.df, _oracle_sql("g1", VCOLS), gtab=groups_zipf.pdf
     )
 
 

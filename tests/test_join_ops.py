@@ -31,7 +31,7 @@ def test_join_matches_oracle(spark, store, tpch, algo, acctbal, date):
         spark, new_runner_for(store), tpch["customer"], tpch["orders"], acctbal, date
     )
     assert_equivalent(
-        spark.createDataFrame(r.df),
+        r.df,
         _oracle_sql(acctbal, date),
         customer=tpch["customer"].pdf,
         orders=tpch["orders"].pdf,
@@ -82,7 +82,7 @@ def test_bloom_degrades_when_sql_budget_tiny(spark, store, tpch, monkeypatch, pl
     assert [p.name for p in r.phases] == phases
     assert r.phases[-1].case_columns == 0
     assert_equivalent(
-        spark.createDataFrame(r.df), sql, **{n: tpch[n].pdf for n in names}
+        r.df, sql, **{n: tpch[n].pdf for n in names}
     )
 
 
@@ -108,7 +108,7 @@ def test_fpr_sweep_matches_oracle(spark, store, tpch):
             -450, "1994-06-01", fpr=fpr,
         )
         assert_equivalent(
-            spark.createDataFrame(r.df),
+            r.df,
             _oracle_sql(-450, "1994-06-01"),
             customer=tpch["customer"].pdf,
             orders=tpch["orders"].pdf,
@@ -122,8 +122,8 @@ def test_projected_bloom_beats_baseline(spark, store, tpch):
     f = common.tpch_factor(0.01)
     base = ALGOS["baseline"](
         spark, new_runner_for(store), tpch["customer"], tpch["orders"], -900, None
-    ).project(f, common.PERF, common.PRICING)
+    ).project(f)
     bloom = ALGOS["bloom"](
         spark, new_runner_for(store), tpch["customer"], tpch["orders"], -900, None
-    ).project(f, common.PERF, common.PRICING)
+    ).project(f)
     assert bloom.runtime_s < base.runtime_s

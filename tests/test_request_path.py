@@ -6,7 +6,12 @@ whose row count it needs -- the driver sends it
 (``select_all``/``select_table``), and rows Spark computes on reach it
 through ``to_spark``. Only Catalyst-planned scans call ``read_table``: a
 filter pushed through ``pushFilters``, such as ``s3_side_filter``'s.
+A driver scan is a ``Runner.scan`` phase, whose server rows are the rows
+it received.
 """
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
@@ -77,3 +82,48 @@ def test_s3_side_filter_reads_through_the_datasource(
 ):
     filter_ops.s3_side_filter(spark, new_runner_for(store), filter_table, "u < 0.01")
     assert read_table_calls == [filter_table.name]
+
+
+def _core_sources() -> dict:
+    core = Path(tpch.__file__).parent
+    return {p.name: ast.parse(p.read_text()) for p in sorted(core.glob("*.py"))}
+
+
+def _calls(node, name: str) -> bool:
+    return any(
+        isinstance(n, ast.Call)
+        and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(node)
+    )
+
+
+def test_select_table_runs_in_a_hand_written_phase_only_in_runner_and_filtered_join():
+    """``Runner.scan`` owns phase accounting; ``filtered_join``'s two scans
+    share one phase, so it keeps its own."""
+    found = [
+        f"{module}:{fn.name}"
+        for module, tree in _core_sources().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(w, ast.With)
+            and any(_calls(item.context_expr, "phase") for item in w.items)
+            and _calls(w, "select_table")
+            for w in ast.walk(fn)
+        )
+    ]
+    assert found == ["join_ops.py:filtered_join", "runner.py:scan"]
+
+
+def test_only_tables_writes_a_limit_into_s3_select_text():
+    found = [
+        module
+        for module, tree in _core_sources().items()
+        if module != "tables.py"
+        and any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and "S3Object" in n.value and "LIMIT" in n.value
+            for n in ast.walk(tree)
+        )
+    ]
+    assert found == []

@@ -1,15 +1,18 @@
-"""The driver's request path: ``select_all``, the typed ``select_table`` and ``to_spark``.
+"""The driver's request path: ``select_all``, the typed ``select_table``,
+``Runner.scan`` and ``to_spark``.
 
 ``select_table`` must hand the driver exactly what the Spark path
 ``read_table(..., columns=...).filter(pred).toPandas()`` would: the same
-rows, column order and dtypes, and the same recorded S3 usage; and
-``to_spark`` must hand Spark what that DataSource scan would.
+rows, column order and dtypes, and the same recorded S3 usage;
+``Runner.scan`` is that request as one phase; and ``to_spark`` must hand
+Spark what that DataSource scan would.
 """
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
 from repro.core.bloom import build_from_keys
+from repro.core.runner import Runner
 from repro.core.tables import select_table, to_spark, write_table
 from repro.datasource.s3select import read_table
 from repro.s3sim import select_all
@@ -80,6 +83,51 @@ def test_select_table_no_match_is_typed_and_empty(store, tpch):
     assert len(got) == 0
     assert list(got.columns) == ["c_custkey", "c_acctbal", "c_mktsegment"]
     assert [str(t) for t in got.dtypes] == ["int64", "float64", "object"]
+
+
+@pytest.mark.parametrize("where", [None, "CAST(l_quantity AS FLOAT) < 10"])
+def test_select_table_limit_is_the_limit_sql(store, tpch, where):
+    """``limit`` sends ``... LIMIT n`` per object, typed by the DDL."""
+    li = tpch["lineitem"]
+    got, got_usage = _usage_of(
+        store, lambda: select_table(store, li, ["l_extendedprice"], where, limit=7)
+    )
+    sql = "SELECT l_extendedprice FROM S3Object"
+    sql += f" WHERE {where} LIMIT 7" if where else " LIMIT 7"
+    frames, want_usage = _usage_of(store, lambda: select_all(store, li.keys, sql))
+    assert got_usage == want_usage
+    assert got["l_extendedprice"].dtype == "float64"
+    assert got["l_extendedprice"].tolist() == pd.concat(
+        frames, ignore_index=True
+    )["l_extendedprice"].astype(float).tolist()
+    assert len(got) == 7 * len(li.keys)
+    if where is None:  # the scan stops after the prefix it returns
+        assert 0 < got_usage.bytes_scanned < li.total_bytes / 10
+    else:
+        assert got_usage.bytes_scanned == li.total_bytes
+
+
+@pytest.mark.parametrize("rows", ["hash_rows", "agg_rows", "heap_rows", None])
+def test_runner_scan_is_select_table_as_one_phase(store, tpch, rows):
+    li, columns = tpch["lineitem"], ["l_orderkey", "l_shipdate"]
+    where = "l_shipdate < '1993-01-01'"
+    want, want_usage = _usage_of(
+        store, lambda: select_table(store, li, columns, where)
+    )
+    runner = Runner(store)
+    got = runner.scan(
+        "s", li, columns, where, rows=rows, case_columns=3, parallel_group="g"
+    )
+    pd.testing.assert_frame_equal(got, want)
+    [p] = runner.phases
+    assert (p.name, p.n_objects, p.case_columns, p.parallel_group) == (
+        "s", len(li.keys), 3, "g",
+    )
+    counts = {f: getattr(p, f) for f in ("hash_rows", "agg_rows", "heap_rows")}
+    assert counts == {f: len(got) if f == rows else 0 for f in counts}
+    assert 0 < len(got) < li.n_rows
+    assert p.usage == want_usage
+    assert runner.finish("q", got).usage == want_usage
 
 
 def test_select_all_one_frame_per_key_in_key_order(fresh_store):

@@ -8,13 +8,10 @@ from repro.oracle import assert_equivalent
 from tests.conftest import new_runner_for
 
 
-def _check(spark, tpch, r, k):
+def _check(tpch, r, k):
     """Compare the multiset of K smallest prices (tie-insensitive)."""
-    got = spark.createDataFrame(
-        r.df[["l_extendedprice"]].rename(columns={"l_extendedprice": "p"})
-    )
     assert_equivalent(
-        got,
+        r.df[["l_extendedprice"]].rename(columns={"l_extendedprice": "p"}),
         f"SELECT l_extendedprice AS p FROM lineitem "
         f"ORDER BY l_extendedprice LIMIT {k}",
         lineitem=tpch["lineitem"].pdf,
@@ -26,7 +23,7 @@ def test_server_side_topk_matches_oracle(spark, store, tpch, k):
     r = topk_ops.server_side_topk(
         spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", k
     )
-    _check(spark, tpch, r, k)
+    _check(tpch, r, k)
 
 
 @pytest.mark.parametrize("k", [1, 10, 100, 1000])
@@ -34,7 +31,7 @@ def test_sampling_topk_matches_oracle(spark, store, tpch, k):
     r = topk_ops.sampling_topk(
         spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", k
     )
-    _check(spark, tpch, r, k)
+    _check(tpch, r, k)
 
 
 @pytest.mark.parametrize("s", [200, 2000, 20000])
@@ -43,7 +40,7 @@ def test_sampling_topk_exact_for_any_sample_size(spark, store, tpch, s):
         spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 50,
         sample_size=s,
     )
-    _check(spark, tpch, r, 50)
+    _check(tpch, r, 50)
 
 
 def test_k_larger_than_table(spark, store, filter_table):
@@ -104,9 +101,9 @@ def test_projected_sampling_beats_server(spark, store, tpch):
     f = common.tpch_factor(0.01)
     server = topk_ops.server_side_topk(
         spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 100
-    ).project(f, common.PERF, common.PRICING)
+    ).project(f)
     sampling = topk_ops.sampling_topk(
         spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 100
-    ).project(f, common.PERF, common.PRICING)
+    ).project(f)
     assert sampling.runtime_s < server.runtime_s
     assert sampling.cost.total < server.cost.total
