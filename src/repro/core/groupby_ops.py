@@ -16,8 +16,8 @@ by one group column of the synthetic 10+10-column table::
 * ``hybrid_groupby``      -- phase 1 samples the first 1% of rows to
   spot populous groups; large groups are aggregated S3-side (Q1), the
   tail is fetched by the driver with ``g NOT IN (...)`` and aggregated
-  by Spark (Q2); Q1 and Q2 run concurrently (Fig 6: runtime is the max
-  of the two).
+  there in pandas (Q2); Q1 and Q2 run concurrently (Fig 6: runtime is
+  the max of the two).
 
 S3 Select has no GROUP BY -- the parser in ``s3sim`` rejects it -- so
 the CASE-WHEN encoding is a faithful reproduction of the paper's
@@ -34,7 +34,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable, to_spark
+from repro.core.tables import StoredTable
 from repro.datasource.s3select import read_table
 from repro.s3sim import select_all
 
@@ -152,7 +152,7 @@ def hybrid_groupby(
     value_cols: list,
     n_pushed: int = DEFAULT_PUSHED_GROUPS,
 ) -> QueryResult:
-    """Populous groups aggregate in S3; the tail aggregates in Spark."""
+    """Populous groups aggregate in S3; the tail aggregates on the driver."""
     # Phase 1: sample the first 1% of each object (rows are randomly
     # ordered by construction, so a prefix is a uniform sample).
     per_object = max(1, math.ceil(table.n_rows * SAMPLE_FRACTION / len(table.keys)))
@@ -176,9 +176,11 @@ def hybrid_groupby(
         "server-aggregate", table, [group_col] + value_cols, where,
         rows="agg_rows", parallel_group="phase2",
     )
-    tail = _spark_groupby(
-        to_spark(spark, table, tail_pdf), group_col, value_cols
-    ).toPandas()
+    # SQL's GROUP BY: a NULL key is a group, and a SUM of NULLs is NULL.
+    tail = tail_pdf.groupby(group_col, as_index=False, dropna=False).sum(
+        min_count=1
+    )
+    tail.columns = [group_col] + [f"sum_{v}" for v in value_cols]
     if len(tail):
         results.append(tail)
     out = (

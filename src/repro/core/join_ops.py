@@ -25,10 +25,11 @@ FPR, the probe scans with its own predicate alone, in a phase named
 ``<name>-degraded`` (the build already happened), as described in
 SV-B.1.
 
-The final hash join runs in Spark (Catalyst) on the reduced inputs
-(``to_spark``), so Bloom false positives are eliminated and results stay
-exact. Every pushed-down phase's ``hash_rows`` is the number of rows it
-received (``Runner.scan``).
+``filtered_join`` and ``bloom_join`` finish with an exact hash join in
+pandas on the frames the driver received (:func:`_total`), so Bloom
+false positives are eliminated and results stay exact; only
+``baseline_join`` runs in Spark. Every pushed-down phase's
+``hash_rows`` is the number of rows it received.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import pyspark.sql.functions as F
 
 from repro.core.bloom import fit_fpr_to_limit
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable, select_table, to_spark
+from repro.core.tables import StoredTable, select_table
 from repro.datasource.s3select import read_table
 from repro.s3sim.select_engine import MAX_SQL_BYTES
 from repro.schema import apply_schema
@@ -50,9 +51,10 @@ _BUILD_COLS = ["c_custkey", "c_acctbal"]
 _PROBE_COLS = ["o_custkey", "o_totalprice", "o_orderdate"]
 
 
-def _result(joined) -> object:
-    """SUM(o_totalprice) with a stable output alias."""
-    return joined.agg(F.sum("o_totalprice").alias("total"))
+def _total(c_pdf: pd.DataFrame, o_pdf: pd.DataFrame) -> pd.DataFrame:
+    """SUM(o_totalprice) over the join; NULL (NaN) when no row joins."""
+    joined = o_pdf.merge(c_pdf, left_on="o_custkey", right_on="c_custkey")
+    return pd.DataFrame({"total": [joined["o_totalprice"].sum(min_count=1)]})
 
 
 def _acctbal_pred(upper_c_acctbal: float) -> str:
@@ -84,7 +86,11 @@ def baseline_join(
         pred = _date_pred(upper_o_orderdate)
         if pred:
             o = o.filter(pred)
-        out = _result(o.join(c, o.o_custkey == c.c_custkey)).toPandas()
+        out = (
+            o.join(c, o.o_custkey == c.c_custkey)
+            .agg(F.sum("o_totalprice").alias("total"))
+            .toPandas()
+        )
     return runner.finish("baseline join", out)
 
 
@@ -107,9 +113,7 @@ def filtered_join(
             runner.store, orders, _PROBE_COLS, _date_pred(upper_o_orderdate)
         )
         p.hash_rows = len(c_pdf) + len(o_pdf)
-        o, c = to_spark(spark, orders, o_pdf), to_spark(spark, customer, c_pdf)
-        out = _result(o.join(c, o.o_custkey == c.c_custkey)).toPandas()
-    return runner.finish("filtered join", out)
+    return runner.finish("filtered join", _total(c_pdf, o_pdf))
 
 
 def bloom_probe(
@@ -161,9 +165,6 @@ def bloom_join(
         runner, "probe", c_pdf["c_custkey"], orders, _PROBE_COLS,
         _date_pred(upper_o_orderdate), "o_custkey", fpr=fpr, seed=seed,
     )
-    # SUM over an empty join is SQL NULL (NaN in a float frame).
-    o, c = to_spark(spark, orders, o_pdf), to_spark(spark, customer, c_pdf)
-    out = _result(o.join(c, o.o_custkey == c.c_custkey)).toPandas()
     degraded = runner.phases[-1].name == "probe-degraded"
     name = "bloom join (degraded)" if degraded else f"bloom join fpr={fpr}"
-    return runner.finish(name, out)
+    return runner.finish(name, _total(c_pdf, o_pdf))

@@ -37,7 +37,7 @@ from repro import synth_data
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.select_engine import select_all
 from repro.s3sim.store import ObjectStore
-from repro.schema import apply_schema, parse_ddl, project_ddl, typed_column
+from repro.schema import apply_schema, parse_ddl, typed_column
 
 # A column with at most this many distinct non-NULL values has them
 # listed in the manifest (``StoredTable.domains``).
@@ -125,8 +125,8 @@ def select_table(
     ``read_table(spark, root, name, columns=columns).filter(where).toPandas()``
     without a Spark job. ``limit`` caps the rows of *each* object (a
     prefix sample; with no ``where`` the scan stops early). Every request
-    whose S3 Select text an operator writes goes through here;
-    ``to_spark`` hands the rows to Spark when Spark computes on them.
+    whose S3 Select text an operator writes goes through here, and the
+    operator finishes its join or aggregate on the frame in pandas.
     """
     sql = f"SELECT {', '.join(columns)} FROM S3Object"
     if where:
@@ -135,19 +135,6 @@ def select_table(
         sql += f" LIMIT {limit}"
     frames = select_all(store, table.keys, sql)
     return apply_schema(pd.concat(frames, ignore_index=True), table.schema_ddl)
-
-
-def to_spark(spark, table: StoredTable, pdf: pd.DataFrame):
-    """``pdf`` -- rows of ``table`` the driver holds -- as a Spark DataFrame.
-
-    How rows fetched by ``select_table`` reach Spark's joins and
-    aggregates. The schema comes from the table's DDL, not from
-    inference, so an empty frame is accepted and the column types match
-    the ``s3select`` DataSource's.
-    """
-    return spark.createDataFrame(
-        pdf, schema=project_ddl(table.schema_ddl, list(pdf.columns))
-    )
 
 
 def _cell_stats(data: bytes) -> dict:

@@ -10,7 +10,7 @@ Evaluation query (Listing 6)::
   paper's "if the data in the table is random" case) and takes the K-th
   smallest as a conservative threshold; phase 2 loads only rows at or
   below the threshold via S3 Select (the driver's ``Runner.scan``) and
-  finishes the top-K on the server (Spark, through ``to_spark``).
+  heap-selects the top-K from them in pandas (``nsmallest``).
   Sampling guarantees >= K qualifying rows, so the result is exact; the
   phase's ``heap_rows`` is the number of rows it received.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import StoredTable, to_spark
+from repro.core.tables import StoredTable
 from repro.datasource.s3select import read_table
 
 
@@ -73,7 +73,7 @@ def sampling_topk(
         "scan", table, table.columns,
         f"CAST({order_col} AS FLOAT) <= {threshold!r}", rows="heap_rows",
     )
-    out = to_spark(spark, table, rows).orderBy(order_col).limit(k).toPandas()
+    out = rows.nsmallest(k, order_col).reset_index(drop=True)
     assert len(out) == k or len(out) == table.n_rows, (
         "sampling threshold must admit at least K rows"
     )

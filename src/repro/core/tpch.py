@@ -11,13 +11,12 @@ For each query we provide:
   the operators of Figs 2-7: filter and projection pushdown everywhere,
   full aggregate pushdown (Q6), the CASE-encoded S3-side group-by
   (Q1: ``groupby_ops.case_aggregate``), and Bloom-join pipelines
-  (Q3/Q14/Q17/Q19: each probe is ``join_ops.bloom_probe``), with the
-  final exact joins/aggregates in Spark. Every request whose S3 Select
-  text the plan writes -- aggregates, Bloom build sides and Bloom
-  probes -- is sent by the driver (``select_all``, or ``Runner.scan``
-  for a build side); rows Spark joins or aggregates reach it through
-  ``to_spark``. Only the baseline reads through the ``s3select``
-  DataSource.
+  (Q3/Q14/Q17/Q19: each probe is ``join_ops.bloom_probe``). Every
+  request is sent by the driver (``select_all``, ``Runner.scan`` or
+  ``bloom_probe``), and the final exact joins and aggregates run in
+  pandas on the frames those return, with SQL's semantics (a SUM over
+  no rows is NULL). Only the baseline reads through the ``s3select``
+  DataSource and runs in Spark.
 
 Queries are adapted to the TPC-H-lite schema (see DESIGN.md S7): the
 selection constants are TPC-H's; text columns we do not generate are
@@ -28,12 +27,10 @@ from __future__ import annotations
 import itertools
 
 import pandas as pd
-import pyspark.sql.functions as F
 
 from repro.core.groupby_ops import case_aggregate
 from repro.core.join_ops import bloom_probe
 from repro.core.runner import QueryResult, Runner
-from repro.core.tables import to_spark
 from repro.datasource.s3select import read_table
 from repro.s3sim.select_engine import select_all
 
@@ -213,27 +210,24 @@ def _opt_q3(spark, runner: Runner, tables: dict) -> QueryResult:
         "o_orderdate < '1995-03-15'", "o_custkey",
     )
     matched = o_pdf[o_pdf["o_custkey"].isin(set(c_pdf["c_custkey"]))]
-    li_df = to_spark(spark, li, bloom_probe(
+    li_pdf = bloom_probe(
         runner, "lineitem", matched["o_orderkey"], li,
         ["l_orderkey", "l_extendedprice", "l_discount"],
         "l_shipdate > '1995-03-15'", "l_orderkey", seed=1,
-    ))
-    joined = li_df.join(
-        to_spark(
-            spark, o, matched[["o_orderkey", "o_orderdate", "o_shippriority"]]
-        ),
-        li_df.l_orderkey == F.col("o_orderkey"),
     )
+    joined = li_pdf.merge(
+        matched[["o_orderkey", "o_orderdate", "o_shippriority"]],
+        left_on="l_orderkey", right_on="o_orderkey",
+    )
+    joined["revenue"] = joined["l_extendedprice"] * (1 - joined["l_discount"])
     out = (
-        joined.groupBy("l_orderkey", "o_orderdate", "o_shippriority")
-        .agg(
-            F.sum(
-                F.col("l_extendedprice") * (1 - F.col("l_discount"))
-            ).alias("revenue")
-        )
-        .orderBy(F.desc("revenue"), F.asc("l_orderkey"))
-        .limit(10)
-        .toPandas()[["l_orderkey", "revenue", "o_orderdate", "o_shippriority"]]
+        joined.groupby(
+            ["l_orderkey", "o_orderdate", "o_shippriority"],
+            as_index=False, dropna=False,
+        )["revenue"].sum(min_count=1)
+        .sort_values(["revenue", "l_orderkey"], ascending=[False, True])
+        .head(10)[["l_orderkey", "revenue", "o_orderdate", "o_shippriority"]]
+        .reset_index(drop=True)
     )
     return runner.finish("q3 optimized", out)
 
@@ -260,56 +254,49 @@ def _opt_q6(spark, runner: Runner, tables: dict) -> QueryResult:
 
 
 def _opt_q14(spark, runner: Runner, tables: dict) -> QueryResult:
-    """Date-filtered lineitem -> bloom -> part; CASE ratio in Spark."""
+    """Date-filtered lineitem -> bloom -> part; CASE ratio on the driver."""
     li, pt = tables["lineitem"], tables["part"]
     li_pdf = runner.scan(
         "lineitem", li,
         ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
         "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'",
     )
-    pt_df = to_spark(spark, pt, bloom_probe(
+    pt_pdf = bloom_probe(
         runner, "part", li_pdf["l_partkey"], pt, ["p_partkey", "p_type"],
         None, "p_partkey",
-    ))
-    li_df = to_spark(spark, li, li_pdf)
-    joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
-    disc = F.col("l_extendedprice") * (1 - F.col("l_discount"))
-    promo = F.when(F.col("p_type").startswith("PROMO"), disc).otherwise(0.0)
-    out = joined.agg(
-        (100.0 * F.sum(promo) / F.sum(disc)).alias("promo_revenue")
-    ).toPandas()
-    return runner.finish("q14 optimized", out)
+    )
+    joined = li_pdf.merge(pt_pdf, left_on="l_partkey", right_on="p_partkey")
+    disc = joined["l_extendedprice"] * (1 - joined["l_discount"])
+    promo = disc.where(joined["p_type"].str.startswith("PROMO", na=False), 0.0)
+    ratio = 100.0 * promo.sum(min_count=1) / disc.sum(min_count=1)
+    return runner.finish("q14 optimized", pd.DataFrame({"promo_revenue": [ratio]}))
 
 
 def _opt_q17(spark, runner: Runner, tables: dict) -> QueryResult:
-    """Filtered part -> bloom -> lineitem; correlated AVG in Spark."""
+    """Filtered part -> bloom -> lineitem; correlated AVG on the driver."""
     li, pt = tables["lineitem"], tables["part"]
     pt_pdf = runner.scan(
         "part", pt, ["p_partkey", "p_brand", "p_container"],
         "p_brand = 'Brand#23' AND p_container = 'MED BOX'",
     )
-    li_df = to_spark(spark, li, bloom_probe(
+    li_pdf = bloom_probe(
         runner, "lineitem", pt_pdf["p_partkey"], li,
         ["l_partkey", "l_quantity", "l_extendedprice"], None, "l_partkey",
-    ))
+    )
     # Exact join removes Bloom false positives; every true part keeps
     # *all* its lineitem rows (no false negatives), so the per-part
     # AVG equals the correlated subquery's. An empty build side
     # gives a NULL answer.
-    joined = li_df.join(
-        to_spark(spark, pt, pt_pdf[["p_partkey"]]),
-        li_df.l_partkey == F.col("p_partkey"),
+    joined = li_pdf.merge(
+        pt_pdf[["p_partkey"]], left_on="l_partkey", right_on="p_partkey"
     )
-    avg = joined.groupBy("p_partkey").agg(
-        (0.2 * F.avg("l_quantity")).alias("qty_limit")
+    qty_limit = 0.2 * joined.groupby("p_partkey")["l_quantity"].transform("mean")
+    total = joined.loc[
+        joined["l_quantity"] < qty_limit, "l_extendedprice"
+    ].sum(min_count=1)
+    return runner.finish(
+        "q17 optimized", pd.DataFrame({"avg_yearly": [total / 7.0]})
     )
-    out = (
-        joined.join(avg, "p_partkey")
-        .filter(F.col("l_quantity") < F.col("qty_limit"))
-        .agg((F.sum("l_extendedprice") / 7.0).alias("avg_yearly"))
-        .toPandas()
-    )
-    return runner.finish("q17 optimized", out)
 
 
 def _opt_q19(spark, runner: Runner, tables: dict) -> QueryResult:
@@ -333,33 +320,32 @@ def _opt_q19(spark, runner: Runner, tables: dict) -> QueryResult:
         "CAST(p_size AS FLOAT) >= 1 AND CAST(p_size AS FLOAT) <= 15"
         " AND p_brand IN ('Brand#12', 'Brand#23', 'Brand#34')"
     )
-    pt_df = to_spark(spark, pt, bloom_probe(
+    pt_pdf = bloom_probe(
         runner, "part", li_pdf["l_partkey"], pt,
         ["p_partkey", "p_brand", "p_size", "p_container"], pt_where,
         "p_partkey",
-    ))
-    li_df = to_spark(spark, li, li_pdf)
-    joined = li_df.join(pt_df, li_df.l_partkey == pt_df.p_partkey)
-    branch = (
-        "(p_brand = 'Brand#12'"
-        " AND p_container IN ('SM CASE','SM BOX','SM PACK','SM PKG')"
-        " AND l_quantity >= 1 AND l_quantity <= 11"
-        " AND p_size BETWEEN 1 AND 5)"
-        " OR (p_brand = 'Brand#23'"
-        " AND p_container IN ('MED BAG','MED BOX','MED PKG','MED PACK')"
-        " AND l_quantity >= 10 AND l_quantity <= 20"
-        " AND p_size BETWEEN 1 AND 10)"
-        " OR (p_brand = 'Brand#34'"
-        " AND p_container IN ('LG CASE','LG BOX','LG PACK','LG PKG')"
-        " AND l_quantity >= 20 AND l_quantity <= 30"
-        " AND p_size BETWEEN 1 AND 15)"
     )
-    res = joined.filter(branch).agg(
-        F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))).alias(
-            "revenue"
+    j = li_pdf.merge(pt_pdf, left_on="l_partkey", right_on="p_partkey")
+
+    # A NULL comparison is False here; with no NOT, a row still passes
+    # exactly when the SQL predicate is TRUE.
+    def branch(brand, containers, qty_lo, qty_hi, max_size):
+        return (
+            (j["p_brand"] == brand)
+            & j["p_container"].isin(containers)
+            & j["l_quantity"].between(qty_lo, qty_hi)
+            & j["p_size"].between(1, max_size)
         )
-    ).toPandas()
-    return runner.finish("q19 optimized", res)
+
+    keep = (
+        branch("Brand#12", ["SM CASE", "SM BOX", "SM PACK", "SM PKG"], 1, 11, 5)
+        | branch("Brand#23", ["MED BAG", "MED BOX", "MED PKG", "MED PACK"],
+                 10, 20, 10)
+        | branch("Brand#34", ["LG CASE", "LG BOX", "LG PACK", "LG PKG"],
+                 20, 30, 15)
+    )
+    revenue = (j["l_extendedprice"] * (1 - j["l_discount"]))[keep].sum(min_count=1)
+    return runner.finish("q19 optimized", pd.DataFrame({"revenue": [revenue]}))
 
 
 _OPTIMIZED = {

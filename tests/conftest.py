@@ -18,13 +18,6 @@ TEST_SF = 0.01
 TEST_PARTITIONS = 4
 
 
-def new_runner_for(store: ObjectStore):
-    """A fresh Runner over the shared store (usage attributed by log diff)."""
-    from repro.core.runner import Runner
-
-    return Runner(store)
-
-
 @pytest.fixture(scope="session")
 def store(tmp_path_factory) -> ObjectStore:
     return ObjectStore(tmp_path_factory.mktemp("s3store"))

@@ -2,8 +2,8 @@
 import pytest
 
 from repro.core import filter_ops
+from repro.core.runner import Runner
 from repro.oracle import assert_equivalent
-from tests.conftest import new_runner_for
 
 
 @pytest.mark.parametrize("sel", [0.001, 0.01, 0.1])
@@ -13,11 +13,11 @@ from tests.conftest import new_runner_for
 def test_filter_algorithms_match_oracle(spark, store, filter_table, sel, algo):
     t = filter_table
     if algo == "server":
-        r = filter_ops.server_side_filter(spark, new_runner_for(store), t, f"u < {sel}")
+        r = filter_ops.server_side_filter(spark, Runner(store), t, f"u < {sel}")
     elif algo == "s3":
-        r = filter_ops.s3_side_filter(spark, new_runner_for(store), t, f"u < {sel}")
+        r = filter_ops.s3_side_filter(spark, Runner(store), t, f"u < {sel}")
     else:
-        r = filter_ops.s3_index_filter(spark, new_runner_for(store), t, "u", "<", sel)
+        r = filter_ops.s3_index_filter(spark, Runner(store), t, "u", "<", sel)
     assert_equivalent(
         r.df,
         f"SELECT * FROM ftab WHERE u < {sel}",
@@ -27,14 +27,14 @@ def test_filter_algorithms_match_oracle(spark, store, filter_table, sel, algo):
 
 def test_filter_empty_result(spark, store, filter_table):
     r = filter_ops.s3_side_filter(
-        spark, new_runner_for(store), filter_table, "u < -1.0"
+        spark, Runner(store), filter_table, "u < -1.0"
     )
     assert len(r.df) == 0
 
 
 def test_index_filter_empty_result(spark, store, filter_table):
     r = filter_ops.s3_index_filter(
-        spark, new_runner_for(store), filter_table, "u", "<", -1.0
+        spark, Runner(store), filter_table, "u", "<", -1.0
     )
     assert len(r.df) == 0
     assert list(r.df.columns) == list(filter_table.pdf.columns)
@@ -43,20 +43,20 @@ def test_index_filter_empty_result(spark, store, filter_table):
 def test_index_filter_requires_index(spark, store, tpch):
     with pytest.raises(ValueError, match="no index"):
         filter_ops.s3_index_filter(
-            spark, new_runner_for(store), tpch["lineitem"], "l_quantity", "<", 5
+            spark, Runner(store), tpch["lineitem"], "l_quantity", "<", 5
         )
 
 
 def test_index_filter_rejects_weird_op(spark, store, filter_table):
     with pytest.raises(ValueError, match="op"):
         filter_ops.s3_index_filter(
-            spark, new_runner_for(store), filter_table, "u", "!=", 0.5
+            spark, Runner(store), filter_table, "u", "!=", 0.5
         )
 
 
 def test_server_side_bills_transfer_not_scan(spark, store, filter_table):
     r = filter_ops.server_side_filter(
-        spark, new_runner_for(store), filter_table, "u < 0.01"
+        spark, Runner(store), filter_table, "u < 0.01"
     )
     assert r.usage.bytes_scanned == 0
     assert r.usage.bytes_transferred >= filter_table.total_bytes
@@ -64,7 +64,7 @@ def test_server_side_bills_transfer_not_scan(spark, store, filter_table):
 
 def test_s3_side_bills_scan_not_transfer(spark, store, filter_table):
     r = filter_ops.s3_side_filter(
-        spark, new_runner_for(store), filter_table, "u < 0.01"
+        spark, Runner(store), filter_table, "u < 0.01"
     )
     assert r.usage.bytes_scanned >= filter_table.total_bytes
     assert r.usage.bytes_transferred == 0
@@ -73,7 +73,7 @@ def test_s3_side_bills_scan_not_transfer(spark, store, filter_table):
 
 def test_index_request_count_tracks_hits(spark, store, filter_table):
     r = filter_ops.s3_index_filter(
-        spark, new_runner_for(store), filter_table, "u", "<", 0.01
+        spark, Runner(store), filter_table, "u", "<", 0.01
     )
     n_hits = len(r.df)
     # one select per index object + one GET per matching row
@@ -83,7 +83,7 @@ def test_index_request_count_tracks_hits(spark, store, filter_table):
 
 def test_index_scans_only_index_objects(spark, store, filter_table):
     r = filter_ops.s3_index_filter(
-        spark, new_runner_for(store), filter_table, "u", "<", 0.01
+        spark, Runner(store), filter_table, "u", "<", 0.01
     )
     assert r.usage.bytes_scanned < filter_table.total_bytes
 
@@ -94,10 +94,10 @@ def test_runtime_model_prefers_s3_side(spark, store, filter_table):
 
     f = common.table_factor(filter_table.total_bytes)
     server = filter_ops.server_side_filter(
-        spark, new_runner_for(store), filter_table, "u < 0.001"
+        spark, Runner(store), filter_table, "u < 0.001"
     ).project(f)
     s3 = filter_ops.s3_side_filter(
-        spark, new_runner_for(store), filter_table, "u < 0.001"
+        spark, Runner(store), filter_table, "u < 0.001"
     ).project(f)
     assert server.runtime_s / s3.runtime_s > 3.0
     assert s3.cost.total > server.cost.total  # paper: s3-side costs more

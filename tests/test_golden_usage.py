@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
-from tests.conftest import new_runner_for
+from repro.core.runner import Runner
 
 GOLDEN = Path(__file__).with_name("golden_usage.json")
 VALUE_COLS = ["v1", "v2", "v3", "v4"]
@@ -64,26 +64,26 @@ def _check(case: str, result) -> None:
 @pytest.mark.parametrize("q", tpch.QUERIES)
 def test_tpch_usage(spark, store, tpch_tables, q, plan):
     run = tpch.run_optimized if plan == "optimized" else tpch.run_baseline
-    _check(f"{q}-{plan}", run(spark, new_runner_for(store), tpch_tables, q))
+    _check(f"{q}-{plan}", run(spark, Runner(store), tpch_tables, q))
 
 
 def test_hybrid_groupby_usage(spark, store, groups_zipf):
     r = groupby_ops.hybrid_groupby(
-        spark, new_runner_for(store), groups_zipf, "g1", VALUE_COLS
+        spark, Runner(store), groups_zipf, "g1", VALUE_COLS
     )
     _check("hybrid_groupby", r)
 
 
 def test_sampling_topk_usage(spark, store, tpch_tables):
     r = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch_tables["lineitem"], "l_extendedprice", 100
+        spark, Runner(store), tpch_tables["lineitem"], "l_extendedprice", 100
     )
     _check("sampling_topk", r)
 
 
 def test_s3_index_filter_usage(spark, store, filter_table):
     r = filter_ops.s3_index_filter(
-        spark, new_runner_for(store), filter_table, "u", "<", 0.01
+        spark, Runner(store), filter_table, "u", "<", 0.01
     )
     _check("s3_index_filter", r)
 
@@ -98,7 +98,7 @@ def test_s3_index_filter_usage(spark, store, filter_table):
 )
 def test_bloom_join_usage(spark, store, tpch_tables, case, acctbal, date, fpr):
     r = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch_tables["customer"],
+        spark, Runner(store), tpch_tables["customer"],
         tpch_tables["orders"], acctbal, date, fpr=fpr,
     )
     _check(case, r)
@@ -106,7 +106,7 @@ def test_bloom_join_usage(spark, store, tpch_tables, case, acctbal, date, fpr):
 
 def test_filtered_join_usage(spark, store, tpch_tables):
     r = join_ops.filtered_join(
-        spark, new_runner_for(store), tpch_tables["customer"],
+        spark, Runner(store), tpch_tables["customer"],
         tpch_tables["orders"], -450, "1995-01-01",
     )
     _check("filtered_join", r)
@@ -114,6 +114,6 @@ def test_filtered_join_usage(spark, store, tpch_tables):
 
 def test_s3_side_groupby_usage(spark, store, groups_uniform):
     r = groupby_ops.s3_side_groupby(
-        spark, new_runner_for(store), groups_uniform, "g3", VALUE_COLS
+        spark, Runner(store), groups_uniform, "g3", VALUE_COLS
     )
     _check("s3_side_groupby", r)

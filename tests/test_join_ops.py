@@ -3,8 +3,8 @@ import pytest
 
 from repro.core import join_ops
 from repro.core import tpch as tpch_plans
+from repro.core.runner import Runner
 from repro.oracle import assert_equivalent
-from tests.conftest import new_runner_for
 
 ALGOS = {
     "baseline": join_ops.baseline_join,
@@ -28,7 +28,7 @@ def _oracle_sql(acctbal, date):
 )
 def test_join_matches_oracle(spark, store, tpch, algo, acctbal, date):
     r = ALGOS[algo](
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], acctbal, date
+        spark, Runner(store), tpch["customer"], tpch["orders"], acctbal, date
     )
     assert_equivalent(
         r.df,
@@ -40,24 +40,24 @@ def test_join_matches_oracle(spark, store, tpch, algo, acctbal, date):
 
 def test_bloom_empty_build_side(spark, store, tpch):
     r = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -10_000, None
+        spark, Runner(store), tpch["customer"], tpch["orders"], -10_000, None
     )
     assert r.df["total"].isna().all()
 
 
 def test_bloom_returns_fewer_bytes_than_filtered(spark, store, tpch):
     f = join_ops.filtered_join(
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -450, None
+        spark, Runner(store), tpch["customer"], tpch["orders"], -450, None
     )
     b = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -450, None
+        spark, Runner(store), tpch["customer"], tpch["orders"], -450, None
     )
     assert b.usage.bytes_returned < f.usage.bytes_returned / 2
 
 
 def test_bloom_has_two_serial_phases(spark, store, tpch):
     r = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -450, None
+        spark, Runner(store), tpch["customer"], tpch["orders"], -450, None
     )
     assert [p.name for p in r.phases] == ["build", "probe"]
 
@@ -67,7 +67,7 @@ def test_bloom_degrades_when_sql_budget_tiny(spark, store, tpch, monkeypatch, pl
     """An unsatisfiable 256KB budget forces the serial filtered fallback,
     in ``bloom_join`` and in the TPC-H plans alike."""
     monkeypatch.setattr(join_ops, "_SQL_BUDGET", 10)
-    runner = new_runner_for(store)
+    runner = Runner(store)
     if plan == "q14":
         r = tpch_plans.run_optimized(spark, runner, tpch, "q14")
         phases, names = ["lineitem", "part-degraded"], ("lineitem", "part")
@@ -88,11 +88,11 @@ def test_bloom_degrades_when_sql_budget_tiny(spark, store, tpch, monkeypatch, pl
 
 def test_lower_fpr_larger_predicate(spark, store, tpch):
     tight = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -450, None,
+        spark, Runner(store), tpch["customer"], tpch["orders"], -450, None,
         fpr=0.001,
     )
     loose = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -450, None,
+        spark, Runner(store), tpch["customer"], tpch["orders"], -450, None,
         fpr=0.3,
     )
     # Larger bit string + more hash functions = more scanned-side work
@@ -104,7 +104,7 @@ def test_lower_fpr_larger_predicate(spark, store, tpch):
 def test_fpr_sweep_matches_oracle(spark, store, tpch):
     for fpr in (0.0001, 0.1, 0.5):
         r = join_ops.bloom_join(
-            spark, new_runner_for(store), tpch["customer"], tpch["orders"],
+            spark, Runner(store), tpch["customer"], tpch["orders"],
             -450, "1994-06-01", fpr=fpr,
         )
         assert_equivalent(
@@ -121,9 +121,9 @@ def test_projected_bloom_beats_baseline(spark, store, tpch):
 
     f = common.tpch_factor(0.01)
     base = ALGOS["baseline"](
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -900, None
+        spark, Runner(store), tpch["customer"], tpch["orders"], -900, None
     ).project(f)
     bloom = ALGOS["bloom"](
-        spark, new_runner_for(store), tpch["customer"], tpch["orders"], -900, None
+        spark, Runner(store), tpch["customer"], tpch["orders"], -900, None
     ).project(f)
     assert bloom.runtime_s < base.runtime_s

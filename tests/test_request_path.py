@@ -3,11 +3,12 @@
 The rule: if an operator writes the S3 Select text itself -- an
 aggregate, a Bloom build or probe, a ``NOT IN`` tail, a filtered scan
 whose row count it needs -- the driver sends it
-(``select_all``/``select_table``), and rows Spark computes on reach it
-through ``to_spark``. Only Catalyst-planned scans call ``read_table``: a
-filter pushed through ``pushFilters``, such as ``s3_side_filter``'s.
-A driver scan is a ``Runner.scan`` phase, whose server rows are the rows
-it received.
+(``select_all``/``select_table``) and finishes the plan on the frames it
+receives, in pandas. Those plans get ``None`` for their ``spark``
+argument here, so any call into Spark fails. Only Catalyst-planned scans
+call ``read_table``: a filter pushed through ``pushFilters``, such as
+``s3_side_filter``'s. A driver scan is a ``Runner.scan`` phase, whose
+server rows are the rows it received.
 """
 import ast
 from pathlib import Path
@@ -15,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
+from repro.core.runner import Runner
 from repro.datasource import s3select
-from tests.conftest import new_runner_for
 
 
 @pytest.fixture()
@@ -34,17 +35,17 @@ def read_table_calls(monkeypatch) -> list:
 
 @pytest.mark.parametrize("q", tpch.QUERIES)
 def test_tpch_optimized_never_reads_through_the_datasource(
-    spark, store, tpch_tables, read_table_calls, q
+    store, tpch_tables, read_table_calls, q
 ):
-    tpch.run_optimized(spark, new_runner_for(store), tpch_tables, q)
+    tpch.run_optimized(None, Runner(store), tpch_tables, q)
     assert read_table_calls == []
 
 
 def test_bloom_join_never_reads_through_the_datasource(
-    spark, store, tpch_tables, read_table_calls
+    store, tpch_tables, read_table_calls
 ):
     r = join_ops.bloom_join(
-        spark, new_runner_for(store), tpch_tables["customer"],
+        None, Runner(store), tpch_tables["customer"],
         tpch_tables["orders"], -450, "1995-01-01",
     )
     assert [p.name for p in r.phases] == ["build", "probe"]
@@ -53,23 +54,23 @@ def test_bloom_join_never_reads_through_the_datasource(
 
 
 def test_hybrid_groupby_never_reads_through_the_datasource(
-    spark, store, groups_zipf, read_table_calls
+    store, groups_zipf, read_table_calls
 ):
     groupby_ops.hybrid_groupby(
-        spark, new_runner_for(store), groups_zipf, "g1", ["v1", "v2"]
+        None, Runner(store), groups_zipf, "g1", ["v1", "v2"]
     )
     assert read_table_calls == []
 
 
 def test_sampling_topk_and_filtered_join_never_read_through_the_datasource(
-    spark, store, tpch_tables, read_table_calls
+    store, tpch_tables, read_table_calls
 ):
     """Both count their server rows from the frames their phases received."""
     topk = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch_tables["lineitem"], "l_extendedprice", 10
+        None, Runner(store), tpch_tables["lineitem"], "l_extendedprice", 10
     )
     join = join_ops.filtered_join(
-        spark, new_runner_for(store), tpch_tables["customer"],
+        None, Runner(store), tpch_tables["customer"],
         tpch_tables["orders"], -450, "1995-01-01",
     )
     assert read_table_calls == []
@@ -80,7 +81,7 @@ def test_sampling_topk_and_filtered_join_never_read_through_the_datasource(
 def test_s3_side_filter_reads_through_the_datasource(
     spark, store, filter_table, read_table_calls
 ):
-    filter_ops.s3_side_filter(spark, new_runner_for(store), filter_table, "u < 0.01")
+    filter_ops.s3_side_filter(spark, Runner(store), filter_table, "u < 0.01")
     assert read_table_calls == [filter_table.name]
 
 

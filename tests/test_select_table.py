@@ -1,11 +1,11 @@
-"""The driver's request path: ``select_all``, the typed ``select_table``,
-``Runner.scan`` and ``to_spark``.
+"""The driver's request path: ``select_all``, the typed ``select_table``
+and ``Runner.scan``.
 
 ``select_table`` must hand the driver exactly what the Spark path
 ``read_table(..., columns=...).filter(pred).toPandas()`` would: the same
-rows, column order and dtypes, and the same recorded S3 usage;
-``Runner.scan`` is that request as one phase; and ``to_spark`` must hand
-Spark what that DataSource scan would.
+rows, column order and dtypes, and the same recorded S3 usage, for a
+Bloom probe's WHERE too; and ``Runner.scan`` is that request as one
+phase.
 """
 import pandas as pd
 import pyspark.sql.functions as F
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.bloom import build_from_keys
 from repro.core.runner import Runner
-from repro.core.tables import select_table, to_spark, write_table
+from repro.core.tables import select_table, write_table
 from repro.datasource.s3select import read_table
 from repro.s3sim import select_all
 
@@ -148,8 +148,10 @@ def _spark_rows(df) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["bloom-probe", "empty"])
-def test_to_spark_equals_datasource_read(spark, store, tpch, empty):
-    """``to_spark(select_table(...))`` is what a DataSource scan hands Spark.
+def test_bloom_probe_select_table_equals_datasource_read(
+    spark, store, tpch, empty
+):
+    """A Bloom probe's ``select_table`` is what a DataSource scan returns.
 
     A Bloom probe's WHERE cannot be a Catalyst filter, so the DataSource
     side pushes ``o_custkey IN (<the keys the filter passes>)``: the same
@@ -164,10 +166,7 @@ def test_to_spark_equals_datasource_read(spark, store, tpch, empty):
         bloom.might_contain(orders.pdf["o_custkey"].to_numpy())
     ]
     got, got_usage = _usage_of(
-        store,
-        lambda: _spark_rows(
-            to_spark(spark, orders, select_table(store, orders, cols, where))
-        ),
+        store, lambda: _sorted(select_table(store, orders, cols, where))
     )
     df = read_table(spark, store.root, "orders", columns=cols).filter(
         F.col("o_custkey").isin(sorted(set(passed.tolist())))
@@ -175,7 +174,6 @@ def test_to_spark_equals_datasource_read(spark, store, tpch, empty):
     )
     want, want_usage = _usage_of(store, lambda: _spark_rows(df))
     assert (len(got) == 0) == empty
-    assert to_spark(spark, orders, got).schema == df.schema
     assert got.dtypes.to_dict() == want.dtypes.to_dict()
     pd.testing.assert_frame_equal(got, want)
     assert got_usage == want_usage

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from repro.core import topk_ops
+from repro.core.runner import Runner
 from repro.oracle import assert_equivalent
-from tests.conftest import new_runner_for
 
 
 def _check(tpch, r, k):
@@ -21,7 +21,7 @@ def _check(tpch, r, k):
 @pytest.mark.parametrize("k", [1, 10, 100, 1000])
 def test_server_side_topk_matches_oracle(spark, store, tpch, k):
     r = topk_ops.server_side_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", k
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", k
     )
     _check(tpch, r, k)
 
@@ -29,7 +29,7 @@ def test_server_side_topk_matches_oracle(spark, store, tpch, k):
 @pytest.mark.parametrize("k", [1, 10, 100, 1000])
 def test_sampling_topk_matches_oracle(spark, store, tpch, k):
     r = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", k
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", k
     )
     _check(tpch, r, k)
 
@@ -37,7 +37,7 @@ def test_sampling_topk_matches_oracle(spark, store, tpch, k):
 @pytest.mark.parametrize("s", [200, 2000, 20000])
 def test_sampling_topk_exact_for_any_sample_size(spark, store, tpch, s):
     r = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 50,
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", 50,
         sample_size=s,
     )
     _check(tpch, r, 50)
@@ -45,7 +45,7 @@ def test_sampling_topk_exact_for_any_sample_size(spark, store, tpch, s):
 
 def test_k_larger_than_table(spark, store, filter_table):
     r = topk_ops.server_side_topk(
-        spark, new_runner_for(store), filter_table, "u", filter_table.n_rows + 10
+        spark, Runner(store), filter_table, "u", filter_table.n_rows + 10
     )
     assert len(r.df) == filter_table.n_rows
 
@@ -70,11 +70,11 @@ def test_optimal_sample_size_clamps_to_table(tpch):
 
 def test_larger_sample_tightens_scan_phase(spark, store, tpch):
     small = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 50,
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", 50,
         sample_size=200,
     )
     big = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 50,
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", 50,
         sample_size=20_000,
     )
     small_scan = next(p for p in small.phases if p.name == "scan")
@@ -84,10 +84,10 @@ def test_larger_sample_tightens_scan_phase(spark, store, tpch):
 
 def test_sampling_reduces_network_vs_server(spark, store, tpch):
     server = topk_ops.server_side_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 100
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", 100
     )
     sampling = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 100
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", 100
     )
     assert (
         sampling.usage.bytes_over_network < server.usage.bytes_over_network / 5
@@ -100,10 +100,10 @@ def test_projected_sampling_beats_server(spark, store, tpch):
 
     f = common.tpch_factor(0.01)
     server = topk_ops.server_side_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 100
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", 100
     ).project(f)
     sampling = topk_ops.sampling_topk(
-        spark, new_runner_for(store), tpch["lineitem"], "l_extendedprice", 100
+        spark, Runner(store), tpch["lineitem"], "l_extendedprice", 100
     ).project(f)
     assert sampling.runtime_s < server.runtime_s
     assert sampling.cost.total < server.cost.total

@@ -3,8 +3,8 @@ import pytest
 
 from repro.core import join_ops, tpch
 from repro.core.bloom import fit_fpr_to_limit
+from repro.core.runner import Runner
 from repro.oracle import assert_equivalent
-from tests.conftest import new_runner_for
 
 
 def _oracle(tpch_tables, q, result):
@@ -14,45 +14,45 @@ def _oracle(tpch_tables, q, result):
 
 @pytest.mark.parametrize("q", tpch.QUERIES)
 def test_baseline_matches_oracle(spark, store, tpch_tables, q):
-    r = tpch.run_baseline(spark, new_runner_for(store), tpch_tables, q)
+    r = tpch.run_baseline(spark, Runner(store), tpch_tables, q)
     _oracle(tpch_tables, q, r)
 
 
 @pytest.mark.parametrize("q", tpch.QUERIES)
 def test_optimized_matches_oracle(spark, store, tpch_tables, q):
-    r = tpch.run_optimized(spark, new_runner_for(store), tpch_tables, q)
+    r = tpch.run_optimized(spark, Runner(store), tpch_tables, q)
     _oracle(tpch_tables, q, r)
 
 
 @pytest.mark.parametrize("q", tpch.QUERIES)
 def test_optimized_moves_fewer_bytes(spark, store, tpch_tables, q):
-    base = tpch.run_baseline(spark, new_runner_for(store), tpch_tables, q)
-    opt = tpch.run_optimized(spark, new_runner_for(store), tpch_tables, q)
+    base = tpch.run_baseline(spark, Runner(store), tpch_tables, q)
+    opt = tpch.run_optimized(spark, Runner(store), tpch_tables, q)
     assert opt.usage.bytes_over_network < base.usage.bytes_over_network
 
 
 def test_baseline_uses_plain_gets(spark, store, tpch_tables):
-    r = tpch.run_baseline(spark, new_runner_for(store), tpch_tables, "q6")
+    r = tpch.run_baseline(spark, Runner(store), tpch_tables, "q6")
     assert r.usage.select_requests == 0
     assert r.usage.get_requests == len(tpch_tables["lineitem"].keys)
 
 
 def test_q6_full_aggregate_pushdown(spark, store, tpch_tables):
     """Q6's optimized plan returns one number per object."""
-    r = tpch.run_optimized(spark, new_runner_for(store), tpch_tables, "q6")
+    r = tpch.run_optimized(spark, Runner(store), tpch_tables, "q6")
     assert r.usage.select_requests == len(tpch_tables["lineitem"].keys)
     assert r.usage.bytes_returned < 1000
 
 
 def test_q1_case_pushdown_returns_aggregates_only(spark, store, tpch_tables):
-    r = tpch.run_optimized(spark, new_runner_for(store), tpch_tables, "q1")
+    r = tpch.run_optimized(spark, Runner(store), tpch_tables, "q1")
     s3_phase = next(p for p in r.phases if p.name == "s3-aggregate")
     assert s3_phase.usage.bytes_returned < 50_000
     assert s3_phase.case_columns == 6 * 6  # 6 (rf,ls) combos x 6 sums
 
 
 def test_q3_pipeline_has_three_phases(spark, store, tpch_tables):
-    r = tpch.run_optimized(spark, new_runner_for(store), tpch_tables, "q3")
+    r = tpch.run_optimized(spark, Runner(store), tpch_tables, "q3")
     assert [p.name for p in r.phases] == ["customer", "orders", "lineitem"]
 
 
@@ -78,7 +78,7 @@ def test_q17_empty_bloom_build_side(spark, tpch_tables, fresh_store):
         ),
         "part": write_table(fresh_store, "part", part, n_partitions=4),
     }
-    r = tpch.run_optimized(spark, new_runner_for(fresh_store), tables, "q17")
+    r = tpch.run_optimized(spark, Runner(fresh_store), tables, "q17")
     assert [p.name for p in r.phases] == ["part", "lineitem"]
     # No part matched, so no lineitem can: no probe request is sent.
     assert r.phases[1].usage.select_requests == 0
@@ -99,7 +99,7 @@ def _probe_returns_nothing(spark, fresh_store, q, tables):
         n: write_table(fresh_store, n, pdf, n_partitions=4)
         for n, pdf in tables.items()
     }
-    r = tpch.run_optimized(spark, new_runner_for(fresh_store), stored, q)
+    r = tpch.run_optimized(spark, Runner(fresh_store), stored, q)
     probe = r.phases[-1]
     assert probe.usage.select_requests == 4 and probe.usage.bytes_returned == 0
     assert_equivalent(
@@ -139,3 +139,24 @@ def test_q14_empty_probe_side(spark, tpch_tables, fresh_store):
         },
     )
     assert r.df["promo_revenue"].isna().all() and len(r.df) == 1
+
+
+def test_q19_empty_probe_side(spark, tpch_tables, fresh_store):
+    """Every part the Bloom filter would pass is removed: a NULL revenue."""
+    li, part = tpch_tables["lineitem"].pdf, tpch_tables["part"].pdf
+    shipped = (
+        li["l_shipmode"].isin(["AIR", "REG AIR"])
+        & (li["l_shipinstruct"] == "DELIVER IN PERSON")
+        & li["l_quantity"].between(1, 30)
+    )
+    bloom = fit_fpr_to_limit(
+        li[shipped]["l_partkey"].unique(), 0.01, "p_partkey", join_ops._SQL_BUDGET
+    )
+    r = _probe_returns_nothing(
+        spark, fresh_store, "q19",
+        {
+            "lineitem": li,
+            "part": part[~bloom.might_contain(part["p_partkey"].to_numpy())],
+        },
+    )
+    assert r.df["revenue"].isna().all() and len(r.df) == 1
