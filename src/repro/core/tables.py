@@ -42,6 +42,8 @@ from repro.schema import apply_schema, parse_ddl, typed_column
 # A column with at most this many distinct non-NULL values has them
 # listed in the manifest (``StoredTable.domains``).
 DOMAIN_CAP = 16
+# Column statistics decode an object this many CSV bytes at a time.
+STATS_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -141,17 +143,26 @@ def _cell_stats(data: bytes) -> dict:
     """Per column of one CSV object: ``(sum of cell widths, distinct cells)``.
 
     The distinct cells are a set of the non-empty ones (an empty cell is
-    NULL), or None when there are more than ``DOMAIN_CAP`` of them.
+    NULL), or None when there are more than ``DOMAIN_CAP`` of them. The
+    object is read in blocks (``STATS_BLOCK_BYTES``), so only one block
+    is ever decoded at a time.
     """
-    cells = csvio.from_csv_bytes(data)
-    out = {}
-    for c, col in zip(cells.column_names, cells.columns):
-        values = pc.unique(col)
-        values = values.filter(pc.not_equal(values, ""))
-        out[c] = (
-            pc.sum(pc.utf8_length(col)).as_py() or 0,
-            set(values.to_pylist()) if len(values) <= DOMAIN_CAP else None,
-        )
+    batches = csvio.csv_batches(data, STATS_BLOCK_BYTES)
+    out = {c: (0, set()) for c in batches.schema.names}
+    for batch in batches:
+        for c, col in zip(batch.schema.names, batch.columns):
+            width, domain = out[c]
+            width += pc.sum(pc.utf8_length(col)).as_py() or 0
+            if domain is not None:
+                values = pc.unique(col)
+                values = values.filter(pc.not_equal(values, ""))
+                if len(values) > DOMAIN_CAP:
+                    domain = None
+                else:
+                    domain |= set(values.to_pylist())
+                    if len(domain) > DOMAIN_CAP:
+                        domain = None
+            out[c] = (width, domain)
     return out
 
 

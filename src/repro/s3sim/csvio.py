@@ -11,7 +11,8 @@ Objects are decoded with ``pyarrow.csv`` into a ``pyarrow.Table``,
 every column typed ``string`` and no cell ever read as NULL: empty cells
 are ``""``, and ``NA``/``null``/``NaN`` tokens, leading zeros and
 surrounding spaces stay as written. It is the only decoder; full objects,
-ranged-GET rows and the DataSource all go through it. The S3 Select
+ranged-GET rows and the DataSource all go through it, and the load-time
+column statistics read objects block by block (``csv_batches``). The S3 Select
 evaluator works on the Arrow table directly; readers that want pandas
 (``parse_rows``, the DataSource's plain GET, ``core.tables``) call
 ``to_pandas()``, which gives all-``str`` object columns.
@@ -40,26 +41,8 @@ def to_csv_bytes(df: pd.DataFrame, header: bool = True) -> bytes:
     return buf.getvalue().encode()
 
 
-def from_csv_bytes(
-    data: bytes,
-    header: bool = True,
-    columns: list[str] | None = None,
-    select: list[str] | None = None,
-) -> pa.Table:
-    """Parse CSV bytes into an all-string Arrow table.
-
-    Every column is ``string`` and empty cells, quoted or not, are empty
-    strings (never NULL); ``NA``/``null``-like tokens, leading zeros and
-    surrounding spaces are kept verbatim -- mirroring S3 Select, where CSV
-    fields are untyped until CAST. Decoding is ``pyarrow.csv`` with every
-    column typed ``string`` and no string ever read as NULL.
-
-    ``columns`` names the columns of header-less data. ``select`` keeps
-    only the named columns (matched case-insensitively, like the
-    evaluator's lookups): the rest are parsed but never materialized.
-    If ``select`` is empty or names a column the data lacks, every
-    column is kept.
-    """
+def _options(data: bytes, header: bool, columns, select):
+    """``(read, convert)`` options of ``from_csv_bytes``."""
     if header:
         end = data.find(b"\n")
         line = (data if end < 0 else data[:end]).rstrip(b"\r").decode()
@@ -80,7 +63,48 @@ def from_csv_bytes(
         strings_can_be_null=False,
         quoted_strings_can_be_null=False,
     )
+    return read, convert
+
+
+def from_csv_bytes(
+    data: bytes,
+    header: bool = True,
+    columns: list[str] | None = None,
+    select: list[str] | None = None,
+) -> pa.Table:
+    """Parse CSV bytes into an all-string Arrow table.
+
+    Every column is ``string`` and empty cells, quoted or not, are empty
+    strings (never NULL); ``NA``/``null``-like tokens, leading zeros and
+    surrounding spaces are kept verbatim -- mirroring S3 Select, where CSV
+    fields are untyped until CAST. Decoding is ``pyarrow.csv`` with every
+    column typed ``string`` and no string ever read as NULL.
+
+    ``columns`` names the columns of header-less data. ``select`` keeps
+    only the named columns (matched case-insensitively, like the
+    evaluator's lookups): the rest are parsed but never materialized.
+    If ``select`` is empty or names a column the data lacks, every
+    column is kept.
+    """
+    read, convert = _options(data, header, columns, select)
     return pacsv.read_csv(
+        io.BytesIO(data),
+        read_options=read,
+        parse_options=_PARSE,
+        convert_options=convert,
+    )
+
+
+def csv_batches(data: bytes, block_size: int) -> pacsv.CSVStreamingReader:
+    """``from_csv_bytes(data)`` as record batches of about ``block_size`` CSV bytes.
+
+    For a reader that looks at each row once: only one batch is decoded
+    at a time. The reader's ``schema`` names the columns even when the
+    object has no rows, and so no batch.
+    """
+    read, convert = _options(data, True, None, None)
+    read.block_size = block_size
+    return pacsv.open_csv(
         io.BytesIO(data),
         read_options=read,
         parse_options=_PARSE,

@@ -5,7 +5,7 @@ real 2019-era service could not do), scans the object, evaluates the
 query, and records usage. The object is decoded into a
 ``pyarrow.Table`` of only the referenced columns (``csvio`` or
 ``parquetio``), evaluated on those Arrow columns (``sql_eval``), and
-only the result becomes a pandas frame. Usage:
+only the result becomes a pandas frame. Usage, per request:
 
 * ``bytes_scanned``  -- CSV: the whole object (S3 Select is a scan
   engine; a ``LIMIT`` with no WHERE stops early, modeled as the scanned
@@ -19,12 +19,19 @@ paper's Bloom join relies on detecting this limit to degrade its false
 positive rate (SV-A.2).
 
 ``select_all(store, keys, sql)`` is how the driver sends requests
-itself: the same query on each object, serially, in key order. Spark's
-workers reach ``s3_select`` through the ``s3select`` DataSource instead.
+itself: the same query on each object of a table, as one batch. The SQL
+is checked and parsed once, each object is decoded on its own, and the
+decoded objects are evaluated together, each request answering what it
+would alone; nothing is kept between batches. ``s3_select`` is a batch
+of one, which is how Spark's workers reach it through the ``s3select``
+DataSource.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pandas as pd
+import pyarrow as pa
 
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.sql_ast import Query, referenced_columns
@@ -62,42 +69,58 @@ def s3_select(
 
     Projected CSV columns are ``str``; computed columns and aggregates
     keep native numeric types for caller convenience (byte accounting
-    always uses the CSV serialization either way).
+    always uses the CSV serialization either way). A batch of one
+    (``select_all``).
     """
+    return select_all(store, [key], sql, input_format)[0]
+
+
+def select_all(
+    store: ObjectStore, keys: list, sql: str, input_format: str = "csv"
+) -> list[pd.DataFrame]:
+    """Run ``sql`` on each object of ``keys``: one frame per key, in key order.
+
+    One request per object, sent as one batch: the SQL is size-checked,
+    parsed and checked once; each object is read and decoded on its own
+    (so ``bytes_scanned`` is its own); and the decoded objects are
+    evaluated together, each request's frame being the one its object
+    alone gives (``sql_eval.eval_query``). Each request then records its
+    own usage. Nothing is kept from one batch to the next. A request
+    that fails fails the batch before any of its requests is recorded.
+    """
+    if not keys:
+        return []
     if len(sql.encode()) > MAX_SQL_BYTES:
         raise S3SelectError(
             f"SQL expression is {len(sql.encode())} bytes; "
             f"S3 Select limits expressions to 256 KB ({MAX_SQL_BYTES} bytes)"
         )
     query = parse(sql)
-    # Only the columns the query references are decoded; the scan (and
-    # so ``bytes_scanned``) still covers the whole CSV object.
-    cols = None if query.is_star else sorted(referenced_columns(query))
-
-    if input_format == "csv":
-        data = store.storage_read(key)
-        df = csvio.from_csv_bytes(data, select=cols)
-        result = eval_query(query, df)
-        scanned = _csv_scanned_bytes(query, data, len(df))
-    elif input_format == "parquet":
-        data = store.storage_read(key)
-        df = parquetio.read_columns(data, cols)
-        result = eval_query(query, df)
-        scanned = parquetio.scanned_bytes(data, cols)
-    else:
+    if input_format not in ("csv", "parquet"):
         raise S3SelectError(f"unsupported input format {input_format!r}")
+    # Only the columns the query references are decoded; a CSV scan (and
+    # so ``bytes_scanned``) still covers the whole object.
+    cols = None if query.is_star else sorted(referenced_columns(query))
+    tables, scanned = [], []
+    for key in keys:
+        data = store.storage_read(key)
+        if input_format == "csv":
+            table = csvio.from_csv_bytes(data, select=cols)
+            scanned.append(_csv_scanned_bytes(query, data, table.num_rows))
+        else:
+            table = parquetio.read_columns(data, cols)
+            scanned.append(parquetio.scanned_bytes(data, cols))
+        tables.append(table)
 
-    returned = len(csvio.to_csv_bytes(result, header=False))
-    store.log.record(
-        select_requests=1, bytes_scanned=scanned, bytes_returned=returned
-    )
-    return result
-
-
-def select_all(store: ObjectStore, keys: list, sql: str) -> list[pd.DataFrame]:
-    """Run ``sql`` on each object of ``keys``: one frame per key, in key order.
-
-    The driver's one request path to storage. Requests run serially,
-    one after another, and nothing is cached between them.
-    """
-    return [s3_select(store, key, sql) for key in keys]
+    if all(t.schema.equals(tables[0].schema) for t in tables):
+        bounds = list(accumulate((t.num_rows for t in tables), initial=0))
+        results = eval_query(query, pa.concat_tables(tables), bounds)
+    else:  # objects with other columns than the first are evaluated alone
+        results = [eval_query(query, t) for t in tables]
+    for result, n_scanned in zip(results, scanned):
+        store.log.record(
+            select_requests=1,
+            bytes_scanned=n_scanned,
+            bytes_returned=len(csvio.to_csv_bytes(result, header=False)),
+        )
+    return results

@@ -53,7 +53,17 @@ conditions share one parse of ``g``, and a Bloom probe's k
 ``SUBSTRING`` hashes share one ``CAST(key AS INT)``. The memo is keyed
 by the AST nodes themselves, whose equality includes literal types
 (``c + 1`` and ``c + 1.0`` stay apart; see ``Literal``), and lives on
-the evaluator, i.e. for one request over one object only.
+the evaluator, i.e. for one batch of requests only.
+
+A batch is the same query over several objects, their rows back to back
+(``eval_query``'s ``bounds``): each distinct node is evaluated once over
+all of them, and each object's result is cut from the batch's values --
+its rows of a projection, its own slice for each aggregate, ``LIMIT``
+per object. That is exact because a row's value does not depend on the
+other rows, with one exception: the int64-or-float64 choice of a
+numeric vector. Where an object alone would choose otherwise than the
+batch (say ``a + 1`` over ``['1', '2']`` in a batch with ``['3', '']``),
+the batch is evaluated again one object at a time.
 """
 from __future__ import annotations
 
@@ -66,12 +76,16 @@ import pyarrow.compute as pc
 
 from repro.s3sim.sql_ast import (
     AGG_FUNCS, Between, BinOp, Case, Cast, Column, Func, InList, IsNull,
-    Like, Literal, Query, Substring, UnaryOp, contains_aggregate,
+    Like, Literal, Query, Substring, UnaryOp, contains_aggregate, walk,
 )
 
 
 class SqlEvalError(ValueError):
     """Raised for semantically invalid queries (bad column, mixed aggs...)."""
+
+
+class _Ragged(Exception):
+    """An object of a batch would type a value otherwise alone (see ``eval_query``)."""
 
 
 _NULL_STRING = pa.scalar(None, pa.string())
@@ -293,6 +307,33 @@ def _column(v, n: int) -> pd.Series:
     return pd.Series(v, index=pd.RangeIndex(n))
 
 
+def _pairs(bounds: list) -> list:
+    """``(lo, hi)`` of each object of a batch, from its row bounds."""
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _cut(v, lo: int, hi: int):
+    """Rows ``lo:hi`` of a vector; a scalar is the value of every row."""
+    if isinstance(v, np.ndarray):
+        return v[lo:hi]
+    if isinstance(v, pa.Array):
+        return v.slice(lo, hi - lo)
+    return v
+
+
+def _ints_alone(text: pa.Array, x: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether cells ``lo:hi`` of ``text`` alone parse as int64; ``x`` is all of them parsed.
+
+    Only finite integers can (NaN is NULL). Those cells are parsed again,
+    copied out of the slice: pyarrow 16's ``if_else`` mangles sliced
+    string arrays.
+    """
+    part = x[lo:hi]
+    if not (np.isfinite(part).all() and (part == np.trunc(part)).all()):
+        return False
+    return _parse_numbers(pa.concat_arrays([text.slice(lo, hi - lo)])).dtype.kind == "i"
+
+
 def _vector(col: pa.ChunkedArray):
     """A stored column as an evaluator value."""
     arr = col.combine_chunks() if col.num_chunks != 1 else col.chunk(0)
@@ -309,16 +350,47 @@ def _vector(col: pa.ChunkedArray):
 
 
 class _Evaluator:
-    """Evaluates expressions over one table, each distinct node once."""
+    """Evaluates expressions over one table, each distinct node once.
 
-    def __init__(self, table: pa.Table):
+    The table may be a batch: object ``i`` is rows ``bounds[i]:bounds[i +
+    1]``. Where an object's rows alone would type a value otherwise than
+    the batch's, evaluation raises ``_Ragged``. Aggregates read their
+    argument from this evaluator or, for one object of a batch, from
+    ``rows``: the batch evaluator's values cut to the object's rows.
+    """
+
+    def __init__(self, table: pa.Table, bounds: list | None = None, rows=None):
         self.table = table
         self.n = table.num_rows
+        self.bounds = [0, self.n] if bounds is None else bounds
+        self._rows = rows  # None: this evaluator (a reference to self would be a cycle)
         self.colmap = {c.lower(): c for c in table.column_names}
         self._values: dict = {}   # node -> its value
         self._numbers: dict = {}  # node -> its value coerced to numeric
         self._texts: dict = {}    # node -> its string vector, '' as NULL
         self._masks: dict = {}    # predicate node -> its numpy mask
+        self._nulls: dict = {}    # node -> where its value is NULL
+
+    def objects(self) -> list:
+        """One evaluator per object of the batch, for its aggregates."""
+        if len(self.bounds) == 2:
+            return [self]
+        return [
+            _Evaluator(self.table.slice(lo, hi - lo), rows=_Rows(self, lo, hi))
+            for lo, hi in _pairs(self.bounds)
+        ]
+
+    def check_alone(self, alone) -> None:
+        """Raise ``_Ragged`` if ``alone(lo, hi)``, for some object's rows ``lo:hi``.
+
+        ``alone`` says whether those rows alone would type the value
+        being evaluated otherwise. Empty objects are skipped: no value of
+        theirs is cut from the batch's.
+        """
+        if len(self.bounds) > 2 and any(
+            alone(lo, hi) for lo, hi in _pairs(self.bounds) if hi > lo
+        ):
+            raise _Ragged
 
     def col(self, name: str):
         actual = self.colmap.get(name.lower())
@@ -326,7 +398,10 @@ class _Evaluator:
             raise SqlEvalError(
                 f"no such column {name!r}; have {sorted(self.table.column_names)}"
             )
-        return _vector(self.table.column(actual))
+        column = self.table.column(actual)
+        if pa.types.is_integer(column.type) and column.null_count:  # float64, see _vector
+            self.check_alone(lambda lo, hi: column.slice(lo, hi - lo).null_count == 0)
+        return _vector(column)
 
     # -- expression dispatch ---------------------------------------------
 
@@ -353,7 +428,10 @@ class _Evaluator:
         elif isinstance(v, pa.Array) and pa.types.is_boolean(v.type):
             out = pc.cast(v, pa.int64()).to_numpy(zero_copy_only=False)
         elif isinstance(v, pa.Array):
-            out = _parse_numbers(self.text(e))
+            text = self.text(e)
+            out = _parse_numbers(text)
+            if out.dtype.kind == "f":
+                self.check_alone(lambda lo, hi: _ints_alone(text, out, lo, hi))
         else:
             out = _scalar_number(v)
         self._numbers[e] = out
@@ -379,14 +457,21 @@ class _Evaluator:
             return m
 
     def nulls(self, e) -> pa.Array:
-        """Where ``eval(e)`` is NULL, as a (non-null) boolean array."""
+        """Where ``eval(e)`` is NULL, as a (non-null) boolean array (memoized)."""
+        try:
+            return self._nulls[e]
+        except KeyError:
+            pass
         v = self.eval(e)
         if isinstance(v, np.ndarray):
             m = _nan_mask(v)
-            return pa.array(np.zeros(self.n, dtype=bool) if m is None else m)
-        if isinstance(v, pa.Array):
-            return pc.is_null(v if pa.types.is_boolean(v.type) else self.text(e))
-        return pa.array(np.full(self.n, _is_null_scalar(v)))
+            out = pa.array(np.zeros(self.n, dtype=bool) if m is None else m)
+        elif isinstance(v, pa.Array):
+            out = pc.is_null(v if pa.types.is_boolean(v.type) else self.text(e))
+        else:
+            out = pa.array(np.full(self.n, _is_null_scalar(v)))
+        self._nulls[e] = out
+        return out
 
     def _eval_literal(self, e: Literal):
         return e.value
@@ -405,7 +490,13 @@ class _Evaluator:
             kleene = pc.and_kleene if e.op == "AND" else pc.or_kleene
             return kleene(self.pred(e.left), self.pred(e.right))
         if e.op in _ARITH:
-            return _arith(e.op, self.num(e.left), self.num(e.right))
+            a, b = self.num(e.left), self.num(e.right)
+            if e.op == "%" and isinstance(b, np.ndarray) and b.dtype.kind == "i" and (
+                isinstance(a, int) or isinstance(a, np.ndarray) and a.dtype.kind == "i"
+            ):  # integer MOD 0 is NULL, which makes the result float64
+                zero = b == 0
+                self.check_alone(lambda lo, hi: zero.any() and not zero[lo:hi].any())
+            return _arith(e.op, a, b)
         # comparison: numeric if either side is numeric, else lexicographic
         left, right = self.eval(e.left), self.eval(e.right)
         py_op, arrow_op = _COMPARE[e.op]
@@ -555,14 +646,12 @@ class _Evaluator:
     def _eval_aggregate(self, e: Func):
         if e.name == "COUNT" and e.star:
             return self.n
-        arg = e.args[0]
-        if contains_aggregate(arg):
-            raise SqlEvalError("nested aggregates are not supported")
-        v = self.eval(arg)
+        arg, rows = e.args[0], self._rows or self
+        v = rows.eval(arg)
         if e.name == "COUNT":
-            return self.n - pc.sum(self.nulls(arg)).as_py() if self.n else 0
+            return self.n - pc.sum(rows.nulls(arg)).as_py() if self.n else 0
         if e.name in ("SUM", "AVG"):
-            n = self.num(arg)
+            n = rows.num(arg)
             if not isinstance(n, np.ndarray):
                 n = np.full(self.n, np.nan if n is None else n)
             nulls = _nan_mask(n)
@@ -582,11 +671,30 @@ class _Evaluator:
                 return None
             return vv.min() if e.name == "MIN" else vv.max()
         if isinstance(v, pa.Array):
-            mm = pc.min_max(self.text(arg))
+            mm = pc.min_max(rows.text(arg))
             return mm["min" if e.name == "MIN" else "max"].as_py()
         if self.n == 0 or _is_null_scalar(v) or v == "":
             return None
         return v
+
+
+class _Rows:
+    """A batch evaluator's row-wise values, cut to one object's rows ``lo:hi``."""
+
+    def __init__(self, ev: _Evaluator, lo: int, hi: int):
+        self.ev, self.lo, self.hi = ev, lo, hi
+
+    def eval(self, e):
+        return _cut(self.ev.eval(e), self.lo, self.hi)
+
+    def num(self, e):
+        return _cut(self.ev.num(e), self.lo, self.hi)
+
+    def text(self, e) -> pa.Array:
+        return _cut(self.ev.text(e), self.lo, self.hi)
+
+    def nulls(self, e) -> pa.Array:
+        return _cut(self.ev.nulls(e), self.lo, self.hi)
 
 
 def _table(df) -> pa.Table:
@@ -595,46 +703,100 @@ def _table(df) -> pa.Table:
     return pa.Table.from_pandas(df, preserve_index=False)
 
 
-def eval_query(query: Query, df) -> pd.DataFrame:
+def _check(query: Query) -> bool:
+    """Reject the aggregates S3 Select cannot run; whether ``query`` aggregates."""
+    if query.where is not None and contains_aggregate(query.where):
+        raise SqlEvalError("aggregates are not allowed in WHERE")
+    agg_flags = [contains_aggregate(it.expr) for it in query.items]
+    if any(agg_flags) and not all(agg_flags):
+        raise SqlEvalError(
+            "cannot mix aggregates and plain columns without GROUP BY "
+            "(S3 Select has no GROUP BY)"
+        )
+    if any(
+        isinstance(n, Func) and n.name in AGG_FUNCS
+        and any(contains_aggregate(a) for a in n.args)
+        for it in query.items for n in walk(it.expr)
+    ):
+        raise SqlEvalError("nested aggregates are not supported")
+    return any(agg_flags)
+
+
+def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
+    """One result frame per object of the batch ``table`` (see ``eval_query``)."""
+    ev = _Evaluator(table, bounds)
+    if query.where is not None:
+        keep = ev.mask(query.where)
+        table = table.filter(pa.array(keep))
+        bounds = np.concatenate([[0], np.cumsum(keep)])[bounds].tolist()
+        ev = _Evaluator(table, bounds)
+
+    if aggregate:
+        return [
+            pd.DataFrame([
+                {it.alias or f"_{i + 1}": obj.eval(it.expr)
+                 for i, it in enumerate(query.items)}
+            ])
+            for obj in ev.objects()
+        ]
+
+    # Rows are independent, so LIMIT can cut them before projecting.
+    if query.limit is not None:
+        ends = [min(hi, lo + query.limit) for lo, hi in _pairs(bounds)]
+        if ends != bounds[1:]:
+            table = pa.concat_tables(
+                [table.slice(lo, end - lo) for lo, end in zip(bounds, ends)]
+            )
+            bounds = np.cumsum([0] + [end - lo for lo, end in zip(bounds, ends)]).tolist()
+            ev = _Evaluator(table, bounds)
+    if query.is_star:
+        return [table.slice(lo, hi - lo).to_pandas() for lo, hi in _pairs(bounds)]
+
+    names = [
+        it.alias or (
+            ev.colmap.get(it.expr.name.lower(), it.expr.name)
+            if isinstance(it.expr, Column) else f"_{i + 1}"
+        )
+        for i, it in enumerate(query.items)
+    ]
+    values = [ev.eval(it.expr) for it in query.items]
+    frames = []
+    for lo, hi in _pairs(bounds):
+        if hi > lo:
+            cut = [_cut(v, lo, hi) for v in values]
+        else:  # an empty object's columns are typed by its own (no) rows
+            alone = _Evaluator(table.slice(lo, 0))
+            cut = [alone.eval(it.expr) for it in query.items]
+        frames.append(pd.DataFrame(
+            {name: _column(v, hi - lo) for name, v in zip(names, cut)},
+            index=pd.RangeIndex(hi - lo),
+        ))
+    return frames
+
+
+def eval_query(query: Query, df, bounds: list | None = None):
     """Run a parsed query over one object's rows; returns the result frame.
 
     ``df`` is a ``pyarrow.Table`` (as decoded by ``csvio`` or
     ``parquetio``) or a pandas frame. Aggregate queries return exactly
     one row. Projection queries return the filtered/projected rows with
     ``LIMIT`` applied last.
+
+    With ``bounds``, ``df`` is a batch: several objects' rows back to
+    back, object ``i`` being rows ``bounds[i]:bounds[i + 1]``. The result
+    is then a list holding, for each object, the frame that it alone
+    gives. The batch is evaluated at once; if an object alone would type
+    a value otherwise, it is evaluated again one object at a time.
     """
     table = _table(df)
-    ev = _Evaluator(table)
-    if query.where is not None:
-        if contains_aggregate(query.where):
-            raise SqlEvalError("aggregates are not allowed in WHERE")
-        table = table.filter(ev.pred(query.where))
-        ev = _Evaluator(table)
-
-    agg_flags = [contains_aggregate(it.expr) for it in query.items]
-    if any(agg_flags):
-        if not all(agg_flags):
-            raise SqlEvalError(
-                "cannot mix aggregates and plain columns without GROUP BY "
-                "(S3 Select has no GROUP BY)"
-            )
-        return pd.DataFrame([
-            {it.alias or f"_{i + 1}": ev.eval(it.expr)
-             for i, it in enumerate(query.items)}
-        ])
-
-    # Rows are independent, so LIMIT can cut them before projecting.
-    if query.limit is not None and query.limit < table.num_rows:
-        table = table.slice(0, query.limit)
-        ev = _Evaluator(table)
-    if query.is_star:
-        return table.to_pandas()
-
-    cols = {}
-    for i, it in enumerate(query.items):
-        if isinstance(it.expr, Column):
-            name = it.alias or ev.colmap.get(it.expr.name.lower(), it.expr.name)
-        else:
-            name = it.alias or f"_{i + 1}"
-        cols[name] = _column(ev.eval(it.expr), ev.n)
-    return pd.DataFrame(cols, index=pd.RangeIndex(ev.n))
+    aggregate = _check(query)
+    if bounds is None:
+        return _run(query, aggregate, table, [0, table.num_rows])[0]
+    bounds = [int(b) for b in bounds]
+    try:
+        return _run(query, aggregate, table, bounds)
+    except _Ragged:
+        return [
+            _run(query, aggregate, table.slice(lo, hi - lo), [0, hi - lo])[0]
+            for lo, hi in _pairs(bounds)
+        ]

@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.s3sim import ObjectStore, csvio, parquetio, s3_select
+from repro.s3sim import ObjectStore, csvio, parquetio, s3_select, select_all
 from repro.s3sim.select_engine import MAX_SQL_BYTES, S3SelectError
 
 
@@ -71,6 +71,35 @@ def test_sql_size_limit_enforced(st):
     sql = f"SELECT a FROM S3Object WHERE SUBSTRING('{bits}', 1, 1) = '1'"
     with pytest.raises(S3SelectError, match="256"):
         s3_select(st, "t.csv", sql)
+
+
+def _probe_of_size(n_bytes: int) -> str:
+    """A Bloom-probe-shaped query of exactly ``n_bytes`` bytes."""
+    head, tail = "SELECT a FROM S3Object WHERE SUBSTRING('", "', 1, 1) = '1'"
+    return head + "1" * (n_bytes - len(head) - len(tail)) + tail
+
+
+def test_sql_exactly_at_the_limit_is_accepted(st):
+    sql = _probe_of_size(MAX_SQL_BYTES)
+    assert len(sql.encode()) == MAX_SQL_BYTES
+    assert len(s3_select(st, "t.csv", sql)) == 100
+    assert [len(f) for f in select_all(st, ["t.csv", "t.csv"], sql)] == [100, 100]
+
+
+@pytest.mark.parametrize("send", [
+    lambda st, sql: s3_select(st, "t.csv", sql),
+    lambda st, sql: select_all(st, ["t.csv", "t.csv"], sql),
+], ids=["s3_select", "select_all"])
+def test_sql_one_byte_over_the_limit_is_rejected_unbilled(st, send):
+    sql = _probe_of_size(MAX_SQL_BYTES + 1)
+    pos = st.log.position()
+    with pytest.raises(S3SelectError, match="256"):
+        send(st, sql)
+    assert st.log.position() == pos
+
+
+def test_select_all_of_no_objects_sends_nothing(st):
+    assert select_all(st, [], _probe_of_size(MAX_SQL_BYTES + 1)) == []
 
 
 def test_missing_object(st):
