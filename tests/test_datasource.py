@@ -1,8 +1,15 @@
 """Tests for the s3select PySpark DataSource (Catalyst integration)."""
+import importlib
+import json
+import sys
+import zipfile
+import zipimport
+
 import pytest
 from pyspark.sql.types import StructType
 
 from repro.core.tables import write_table
+from repro.datasource import s3select
 from repro.datasource.s3select import (
     S3SelectDataSource, S3SelectReader, ensure_registered, read_table,
 )
@@ -136,6 +143,17 @@ def test_missing_table(spark, ds_store):
         read_table(spark, ds_store.root, "missing").count()
 
 
+def test_missing_object_fails_the_scan(spark, tmp_path):
+    import pandas as pd
+
+    store = ObjectStore(tmp_path / "store")
+    write_table(store, "t", pd.DataFrame({"k": range(30)}), n_partitions=3)
+    keys = json.loads(store.get_meta("t/manifest.json"))["keys"]
+    store.delete(keys[1])
+    with pytest.raises(Exception, match="no such object"):
+        read_table(spark, store.root, "t").collect()
+
+
 @pytest.fixture(scope="module")
 def empty_cells_store(spark, tmp_path_factory):
     import pandas as pd
@@ -154,3 +172,90 @@ def test_empty_string_cells_are_null_on_both_paths(spark, empty_cells_store, pre
     in_spark = read_table(spark, root, "e", pushdown=False).filter(pred).toPandas()
     assert sorted(pushed["k"]) == sorted(in_spark["k"])
     assert pushed.sort_values("k").equals(in_spark.sort_values("k"))
+
+
+# -- zip directories on importlib.invalidate_caches() ----------------------
+
+_ZIP_MODULE = "zip_reuse_probe"
+
+
+def _write_module_zip(path, value: str) -> None:
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr(f"{_ZIP_MODULE}.py", f"VALUE = {value!r}\n")
+
+
+@pytest.fixture()
+def module_zip(tmp_path, monkeypatch):
+    """A zip holding one module, on ``sys.path`` and imported."""
+    archive = tmp_path / "probe.zip"
+    _write_module_zip(archive, "a")
+    monkeypatch.syspath_prepend(str(archive))
+    assert importlib.import_module(_ZIP_MODULE).VALUE == "a"
+    yield archive
+    sys.modules.pop(_ZIP_MODULE, None)
+    sys.path_importer_cache.pop(str(archive), None)
+    zipimport._zip_directory_cache.pop(str(archive), None)
+
+
+def _count_directory_reads(monkeypatch) -> list:
+    reads = []
+    read = zipimport._read_directory
+
+    def counted(archive):
+        reads.append(archive)
+        return read(archive)
+
+    monkeypatch.setattr(zipimport, "_read_directory", counted)
+    return reads
+
+
+def test_unchanged_zip_is_not_reread_and_changed_one_is(module_zip, monkeypatch):
+    reads = _count_directory_reads(monkeypatch)
+    importlib.invalidate_caches()
+    assert reads == []
+
+    _write_module_zip(module_zip, "rewritten")  # another size
+    importlib.invalidate_caches()
+    assert reads == [str(module_zip)]
+    sys.modules.pop(_ZIP_MODULE)
+    assert importlib.import_module(_ZIP_MODULE).VALUE == "rewritten"
+
+
+def test_installing_twice_leaves_one_wrapper():
+    s3select._reuse_unchanged_zip_directories()
+    s3select._reuse_unchanged_zip_directories()
+    for hook in (zipimport.zipimporter.invalidate_caches, zipimport._read_directory):
+        assert not hasattr(hook.__wrapped__, "__wrapped__")
+
+
+def test_spark_worker_does_not_reread_pyspark_zip(spark):
+    """Spark invalidates the import caches before every task it hands a
+    Python worker; with the DataSource module imported, that re-reads no
+    unchanged zip archive (at the parent, one read per zipimporter)."""
+
+    def invalidation_reads(_):
+        importlib.import_module("repro.datasource.s3select")
+        read = zipimport._read_directory
+        reads = []
+
+        def counted(archive):
+            reads.append(archive)
+            return read(archive)
+
+        zipimport._read_directory = counted
+        try:
+            importlib.invalidate_caches()
+        finally:
+            zipimport._read_directory = read
+        importers = [
+            f for f in sys.path_importer_cache.values()
+            if isinstance(f, zipimport.zipimporter)
+        ]
+        yield len(importers), len(reads)
+
+    [(n_importers, n_reads)] = (
+        spark.sparkContext.parallelize([0], 1)
+        .mapPartitions(invalidation_reads).collect()
+    )
+    assert n_importers > 0  # the worker imports pyspark from a zip
+    assert n_reads == 0

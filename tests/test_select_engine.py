@@ -107,6 +107,16 @@ def test_missing_object(st):
         s3_select(st, "nope.csv", "SELECT a FROM S3Object")
 
 
+def test_batch_with_a_deleted_object_fails_unrecorded(st):
+    for key in ("t0.csv", "t1.csv", "t2.csv"):
+        st.put(key, st.get("t.csv"))
+    st.delete("t1.csv")
+    pos = st.log.position()
+    with pytest.raises(KeyError, match="t1.csv"):
+        select_all(st, ["t0.csv", "t1.csv", "t2.csv"], "SELECT a FROM S3Object")
+    assert st.log.position() == pos
+
+
 def test_bad_format(st):
     with pytest.raises(S3SelectError, match="format"):
         s3_select(st, "t.csv", "SELECT a FROM S3Object", input_format="orc")
