@@ -14,12 +14,13 @@ Three strategies for ``SELECT ... WHERE pred`` over one table:
 """
 from __future__ import annotations
 
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from repro.core.runner import QueryResult, Runner
 from repro.core.tables import StoredTable, apply_schema
 from repro.datasource.s3select import read_table
-from repro.s3sim import csvio, select_all
+from repro.s3sim import csvio, select_results
 
 
 def server_side_filter(
@@ -76,33 +77,27 @@ def s3_index_filter(
 
     # Phase 1: push the predicate to the index objects.
     with runner.phase("index-lookup", n_objects=len(table.keys)):
-        results = select_all(
+        results = select_results(
             runner.store,
             [table.index_key(column, i) for i in range(len(table.keys))],
             f"SELECT _offset, _length FROM S3Object "
             f"WHERE CAST({column} AS FLOAT) {op} {value!r}",
         )
-    ranges = [
-        (i, [(int(o), int(ln)) for o, ln in zip(res["_offset"], res["_length"])])
-        for i, res in enumerate(results)
+    ranges = [  # per object, the (offset, length) of each qualifying row
+        list(zip(*(pc.cast(r.columns[c], pa.int64()).to_pylist()
+                   for c in ("_offset", "_length"))))
+        for r in results
     ]
 
     # Phase 2: one ranged GET per qualifying row (single range per
-    # request, as in the real S3 API).
-    n_hits = sum(len(offs) for _, offs in ranges)
+    # request, as in the real S3 API), an object's GETs sent together.
     with runner.phase("row-fetch", n_objects=len(table.keys)) as p:
-        p.agg_rows = n_hits
-        frames = []
-        cols = table.columns
-        for i, offs in ranges:
-            chunks = [runner.store.get(table.keys[i], rng) for rng in offs]
-            if chunks:
-                frames.append(csvio.parse_rows(b"".join(chunks), cols))
-        if frames:
-            out = apply_schema(pd.concat(frames, ignore_index=True), table.schema_ddl)
-        else:
-            out = apply_schema(
-                pd.DataFrame({c: pd.Series(dtype=str) for c in cols}),
-                table.schema_ddl,
-            )
+        p.agg_rows = sum(map(len, ranges))
+        parts = [
+            b"".join(runner.store.get_ranges(key, offs))
+            for key, offs in zip(table.keys, ranges)
+            if offs
+        ]
+        rows = [csvio.parse_rows(part, table.columns) for part in parts or [b""]]
+        out = apply_schema(pa.concat_tables(rows), table.schema_ddl)
     return runner.finish(f"s3-index filter[{column} {op} {value}]", out)

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 
 from repro.core.runner import QueryResult, Runner
 from repro.core.tables import StoredTable
 from repro.datasource.s3select import read_table
-from repro.s3sim import select_all
+from repro.s3sim import select_results
 
 # The paper's hybrid group-by samples "the first 1% of data".
 SAMPLE_FRACTION = 0.01
@@ -88,8 +89,11 @@ def case_aggregate(
         "s3-aggregate", n_objects=len(table.keys),
         case_columns=len(groups) * len(sums), **phase_kw,
     ):
-        partials = select_all(runner.store, table.keys, sql)
-    total = pd.concat(partials, ignore_index=True).astype(float).sum()
+        partials = select_results(runner.store, table.keys, sql)
+    # Each column's partials, NULL as 0, added as pandas adds a column.
+    names = list(partials[0].columns)
+    cells = np.array([[r.columns[c] for r in partials] for c in names], dtype=float)
+    total = dict(zip(names, np.where(np.isnan(cells), 0.0, cells).sum(axis=1)))
     return pd.DataFrame(
         [
             {**dict(zip(group_cols, values)),

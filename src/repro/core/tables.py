@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 
 from repro import synth_data
 from repro.s3sim import csvio, parquetio
-from repro.s3sim.select_engine import select_all
+from repro.s3sim.select_engine import select_results
 from repro.s3sim.store import ObjectStore
 from repro.schema import apply_schema, parse_ddl, typed_column
 
@@ -79,12 +80,12 @@ class StoredTable:
     def pdf(self) -> pd.DataFrame:
         """The oracle's typed pandas copy of every row (see module docstring)."""
         if self._pdf is None:
-            frames = [
-                csvio.from_csv_bytes(self._store.storage_read(k)).to_pandas()
-                for k in self.keys
-            ]
             self._pdf = apply_schema(
-                pd.concat(frames, ignore_index=True), self.schema_ddl
+                pa.concat_tables(
+                    csvio.from_csv_bytes(self._store.storage_read(k))
+                    for k in self.keys
+                ),
+                self.schema_ddl,
             )
         return self._pdf
 
@@ -128,15 +129,23 @@ def select_table(
     without a Spark job. ``limit`` caps the rows of *each* object (a
     prefix sample; with no ``where`` the scan stops early). Every request
     whose S3 Select text an operator writes goes through here, and the
-    operator finishes its join or aggregate on the frame in pandas.
+    operator finishes its join or aggregate on the frame in pandas. The
+    objects' result columns are typed on the Arrow side and become one
+    frame.
     """
     sql = f"SELECT {', '.join(columns)} FROM S3Object"
     if where:
         sql += f" WHERE {where}"
     if limit is not None:
         sql += f" LIMIT {limit}"
-    frames = select_all(store, table.keys, sql)
-    return apply_schema(pd.concat(frames, ignore_index=True), table.schema_ddl)
+    results = select_results(store, table.keys, sql)
+    return apply_schema(
+        pa.table({
+            name: pa.chunked_array([r.columns[name] for r in results], pa.string())
+            for name in results[0].columns
+        }),
+        table.schema_ddl,
+    )
 
 
 def _cell_stats(data: bytes) -> dict:

@@ -12,7 +12,7 @@ For each query we provide:
   full aggregate pushdown (Q6), the CASE-encoded S3-side group-by
   (Q1: ``groupby_ops.case_aggregate``), and Bloom-join pipelines
   (Q3/Q14/Q17/Q19: each probe is ``join_ops.bloom_probe``). Every
-  request is sent by the driver (``select_all``, ``Runner.scan`` or
+  request is sent by the driver (``select_results``, ``Runner.scan`` or
   ``bloom_probe``), and the final exact joins and aggregates run in
   pandas on the frames those return, with SQL's semantics (a SUM over
   no rows is NULL). Only the baseline reads through the ``s3select``
@@ -32,7 +32,7 @@ from repro.core.groupby_ops import case_aggregate
 from repro.core.join_ops import bloom_probe
 from repro.core.runner import QueryResult, Runner
 from repro.datasource.s3select import read_table
-from repro.s3sim.select_engine import select_all
+from repro.s3sim.select_engine import select_results
 
 QUERIES = ("q1", "q3", "q6", "q14", "q17", "q19")
 
@@ -243,11 +243,11 @@ def _opt_q6(spark, runner: Runner, tables: dict) -> QueryResult:
         " AND CAST(l_quantity AS FLOAT) < 24"
     )
     with runner.phase("s3-aggregate", n_objects=len(li.keys)):
-        partials = select_all(runner.store, li.keys, sql)
+        partials = select_results(runner.store, li.keys, sql)
     vals = [
-        float(p["revenue"].iloc[0])
+        float(p.columns["revenue"])
         for p in partials
-        if p["revenue"].iloc[0] is not None
+        if p.columns["revenue"] is not None
     ]
     revenue = sum(vals) if vals else float("nan")
     return runner.finish("q6 optimized", pd.DataFrame({"revenue": [revenue]}))

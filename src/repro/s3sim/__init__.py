@@ -21,7 +21,7 @@ Modules:
 from repro.s3sim.store import ObjectStore
 from repro.s3sim.usage import Usage, UsageLog
 from repro.s3sim.select_engine import (
-    s3_select, select_all, S3SelectError, MAX_SQL_BYTES,
+    s3_select, select_all, select_results, S3SelectError, MAX_SQL_BYTES,
 )
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "UsageLog",
     "s3_select",
     "select_all",
+    "select_results",
     "S3SelectError",
     "MAX_SQL_BYTES",
 ]

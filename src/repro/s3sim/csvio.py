@@ -13,9 +13,10 @@ are ``""``, and ``NA``/``null``/``NaN`` tokens, leading zeros and
 surrounding spaces stay as written. It is the only decoder; full objects,
 ranged-GET rows and the DataSource all go through it, and the load-time
 column statistics read objects block by block (``csv_batches``). The S3 Select
-evaluator works on the Arrow table directly; readers that want pandas
-(``parse_rows``, the DataSource's plain GET, ``core.tables``) call
-``to_pandas()``, which gives all-``str`` object columns.
+evaluator works on the Arrow table directly, and so do the index
+filter's row fetch (``parse_rows``) and ``core.tables``, which type the
+strings by the table's DDL before they become pandas; the DataSource's
+plain GET calls ``to_pandas()``, which gives all-``str`` object columns.
 
 This module also computes per-row byte offsets at write time, which the
 paper's index tables (SIV-A) store so that individual rows can later be
@@ -26,12 +27,19 @@ from __future__ import annotations
 import csv
 import io
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 from pyarrow import csv as pacsv
 
 # Quoted fields may hold newlines (``to_csv_bytes`` writes them as-is).
 _PARSE = pacsv.ParseOptions(newlines_in_values=True)
+
+# The bytes that make ``to_csv_bytes`` quote a cell: the delimiter, the
+# quote and the row terminator (CPython 3.11's ``csv`` writer, which
+# pandas uses; it does not quote a lone ``\r``).
+_QUOTED = b',"\n'
 
 
 def to_csv_bytes(df: pd.DataFrame, header: bool = True) -> bytes:
@@ -39,6 +47,87 @@ def to_csv_bytes(df: pd.DataFrame, header: bool = True) -> bytes:
     buf = io.StringIO()
     df.to_csv(buf, index=False, header=header)
     return buf.getvalue().encode()
+
+
+def csv_size(columns: list, n: int) -> int:
+    """``len(to_csv_bytes(frame, header=False))``, counted without rendering it.
+
+    ``frame`` is the frame of ``n`` rows that ``columns`` become: each
+    is a pyarrow or numpy vector of ``n`` cells, or a scalar that every
+    row holds. A cell counts as pandas writes it: an int in decimal, a
+    float as numpy renders it, a boolean as ``True``/``False``, NULL or
+    NaN empty, and a string quoted (its quotes doubled) where it holds
+    a comma, a quote or a newline. A row is its cells, a comma between
+    each two and a newline; a row of one empty cell is ``""``.
+    """
+    if n == 0 or not columns:
+        return 0
+    alone = len(columns) == 1
+    return n * len(columns) + sum(
+        _cells_size(c, alone) if isinstance(c, (pa.Array, pa.ChunkedArray, np.ndarray))
+        else n * _cell_size(c, alone)
+        for c in columns
+    )
+
+
+def _cell_size(v, alone: bool) -> int:
+    """Rendered bytes of one scalar cell (see :func:`csv_size`)."""
+    if v is None or (isinstance(v, (float, np.floating)) and np.isnan(v)):
+        return 2 if alone else 0
+    if isinstance(v, (bool, np.bool_)):
+        return 4 if v else 5
+    if isinstance(v, (float, np.floating)):
+        return len(str(np.float64(v)))
+    if isinstance(v, (int, np.integer)):
+        return len(str(int(v)))
+    return _cells_size(pa.array([v], pa.string()), alone)
+
+
+def _cells_size(v, alone: bool) -> int:
+    """Rendered bytes of a vector's cells (see :func:`csv_size`)."""
+    if isinstance(v, np.ndarray):
+        if v.dtype.kind == "f":
+            nan = np.isnan(v)
+            size = int(np.char.str_len(v[~nan].astype(str)).sum())
+            return size + 2 * int(nan.sum()) if alone else size
+        v = pa.array(v)
+    t = v.type
+    if pa.types.is_integer(t) and v.null_count == 0:
+        t, v = pa.string(), pc.cast(v, pa.string())
+    if pa.types.is_integer(t) or pa.types.is_floating(t):  # an int with NULLs is float64
+        floats = pc.cast(v, pa.float64(), safe=False)  # rounded, as numpy rounds
+        return _cells_size(floats.to_numpy(zero_copy_only=False), alone)
+    if pa.types.is_boolean(t):
+        true = pc.sum(v).as_py() or 0
+        false = len(v) - v.null_count - true
+        return 4 * true + 5 * false + (2 * v.null_count if alone else 0)
+    if pa.types.is_null(t):
+        return 2 * len(v) if alone else 0
+    if not pa.types.is_string(t):
+        v = pc.cast(v, pa.string())
+    lengths = pc.binary_length(v)
+    size = pc.sum(lengths).as_py() or 0
+    if _may_quote(v):
+        size += 2 * (pc.sum(pc.match_substring_regex(v, '[,"\n]')).as_py() or 0)
+        size += pc.sum(pc.count_substring(v, '"')).as_py() or 0
+    if alone:
+        size += 2 * (len(v) - (pc.sum(pc.greater(lengths, 0)).as_py() or 0))
+    return size
+
+
+def _may_quote(v) -> bool:
+    """Whether a string vector's bytes hold any of ``_QUOTED`` (a scan, no regex)."""
+    for chunk in v.chunks if isinstance(v, pa.ChunkedArray) else [v]:
+        if chunk.null_count == len(chunk):
+            continue
+        offsets = np.frombuffer(chunk.buffers()[1], dtype=np.int32)
+        lo, hi = offsets[chunk.offset], offsets[chunk.offset + len(chunk)]
+        if lo == hi:
+            continue
+        data = np.frombuffer(chunk.buffers()[2], dtype=np.uint8)[lo:hi]
+        if any((data == b).any() for b in _QUOTED):
+            return True
+    return False
 
 
 def _options(data: bytes, header: bool, columns, select):
@@ -112,6 +201,25 @@ def csv_batches(data: bytes, block_size: int) -> pacsv.CSVStreamingReader:
     )
 
 
+def head(data: bytes, n: int) -> tuple[bytes, int] | None:
+    """``(prefix, rows)``: a CSV object's header and first ``n`` data rows, and its row count.
+
+    Rows are lines here, cut and counted without decoding. Where a
+    quote, a ``\\r`` or a blank line could make the decoder's rows
+    differ from the lines, this returns None; decode the whole object
+    instead.
+    """
+    if b'"' in data or b"\r" in data:
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    if len(ends) == 0 or ends[0] == 0 or (np.diff(ends) == 1).any():
+        return None  # no header line, or a blank line
+    rows = len(ends) - data.endswith(b"\n")
+    if n >= rows:
+        return data, rows
+    return data[: ends[n] + 1], rows
+
+
 def row_byte_offsets(data: bytes) -> list[tuple[int, int]]:
     """``(offset, length)`` of every data row in a header-ful CSV object.
 
@@ -132,11 +240,12 @@ def row_byte_offsets(data: bytes) -> list[tuple[int, int]]:
     return out
 
 
-def parse_rows(data: bytes, columns: list[str]) -> pd.DataFrame:
+def parse_rows(data: bytes, columns: list[str]) -> pa.Table:
     """Parse header-less CSV row bytes (e.g. concatenated ranged GETs).
 
-    Returns an all-``str`` pandas frame.
+    Returns an all-string Arrow table of ``columns``, with no rows when
+    ``data`` holds none.
     """
     if not data.strip():
-        return pd.DataFrame({c: pd.Series(dtype=str) for c in columns})
-    return from_csv_bytes(data, header=False, columns=columns).to_pandas()
+        return pa.table({c: pa.array([], pa.string()) for c in columns})
+    return from_csv_bytes(data, header=False, columns=columns)

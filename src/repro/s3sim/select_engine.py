@@ -10,21 +10,24 @@ only the result becomes a pandas frame. Usage, per request:
 * ``bytes_scanned``  -- CSV: the whole object (S3 Select is a scan
   engine; a ``LIMIT`` with no WHERE stops early, modeled as the scanned
   prefix). Parquet: referenced column chunks + footer only.
-* ``bytes_returned`` -- the CSV serialization of the result (S3 Select
-  always returns CSV, even for Parquet input -- paper SIX).
+* ``bytes_returned`` -- the length of the result's CSV text (S3 Select
+  always returns CSV, even for Parquet input -- paper SIX), counted from
+  the result's columns without rendering the text (``csvio.csv_size``).
 * ``select_requests`` -- 1.
 
 The 256 KB SQL expression limit of the real service is enforced; the
 paper's Bloom join relies on detecting this limit to degrade its false
 positive rate (SV-A.2).
 
-``select_all(store, keys, sql)`` is how the driver sends requests
+``select_results(store, keys, sql)`` is how the driver sends requests
 itself: the same query on each object of a table, as one batch. The SQL
 is checked and parsed once, each object is decoded on its own, and the
 decoded objects are evaluated together, each request answering what it
-would alone; nothing is kept between batches. ``s3_select`` is a batch
-of one, which is how Spark's workers reach it through the ``s3select``
-DataSource.
+would alone; nothing is kept between batches. Its results stay Arrow and
+numpy columns (``sql_eval.Result``) for callers that type them
+themselves (``core.tables.select_table``); ``select_all`` turns each into
+its pandas frame, and ``s3_select`` is a batch of one, which is how
+Spark's workers reach it through the ``s3select`` DataSource.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ import pyarrow as pa
 
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.sql_ast import Query, referenced_columns
-from repro.s3sim.sql_eval import eval_query
+from repro.s3sim.sql_eval import Result, eval_query
 from repro.s3sim.sql_parser import parse
 from repro.s3sim.store import ObjectStore
 
@@ -68,8 +71,8 @@ def s3_select(
     """Execute one S3 Select request; returns the result rows as a pandas frame.
 
     Projected CSV columns are ``str``; computed columns and aggregates
-    keep native numeric types for caller convenience (byte accounting
-    always uses the CSV serialization either way). A batch of one
+    keep native numeric types for caller convenience (``bytes_returned``
+    counts their CSV rendering either way). A batch of one
     (``select_all``).
     """
     return select_all(store, [key], sql, input_format)[0]
@@ -80,13 +83,27 @@ def select_all(
 ) -> list[pd.DataFrame]:
     """Run ``sql`` on each object of ``keys``: one frame per key, in key order.
 
+    ``select_results``, each result as the pandas frame it makes.
+    """
+    return [r.to_pandas() for r in select_results(store, keys, sql, input_format)]
+
+
+def select_results(
+    store: ObjectStore, keys: list, sql: str, input_format: str = "csv"
+) -> list[Result]:
+    """Run ``sql`` on each object of ``keys``: one ``sql_eval.Result`` per key, in key order.
+
     One request per object, sent as one batch: the SQL is size-checked,
     parsed and checked once; each object is read and decoded on its own
-    (so ``bytes_scanned`` is its own); and the decoded objects are
-    evaluated together, each request's frame being the one its object
-    alone gives (``sql_eval.eval_query``). Each request then records its
-    own usage. Nothing is kept from one batch to the next. A request
-    that fails fails the batch before any of its requests is recorded.
+    (so ``bytes_scanned`` is its own; a CSV ``LIMIT`` with no WHERE
+    decodes only the rows it returns, ``csvio.head``); and the decoded
+    objects are evaluated together, each request's result being the one
+    its object alone gives (``sql_eval.eval_query``). Each request then
+    records its own usage, all of the batch's in one append, with
+    ``bytes_returned`` counted from its result's columns
+    (``Result.csv_size``). Nothing is kept from one batch to the next.
+    A request that fails fails the batch before any of its requests is
+    recorded.
     """
     if not keys:
         return []
@@ -101,12 +118,15 @@ def select_all(
     # Only the columns the query references are decoded; a CSV scan (and
     # so ``bytes_scanned``) still covers the whole object.
     cols = None if query.is_star else sorted(referenced_columns(query))
+    prefix_only = query.limit is not None and query.where is None
     tables, scanned = [], []
     for key in keys:
         data = store.storage_read(key)
         if input_format == "csv":
-            table = csvio.from_csv_bytes(data, select=cols)
-            scanned.append(_csv_scanned_bytes(query, data, table.num_rows))
+            head = csvio.head(data, query.limit) if prefix_only else None
+            table = csvio.from_csv_bytes(data if head is None else head[0], select=cols)
+            n_rows = table.num_rows if head is None else head[1]
+            scanned.append(_csv_scanned_bytes(query, data, n_rows))
         else:
             table = parquetio.read_columns(data, cols)
             scanned.append(parquetio.scanned_bytes(data, cols))
@@ -116,11 +136,10 @@ def select_all(
         bounds = list(accumulate((t.num_rows for t in tables), initial=0))
         results = eval_query(query, pa.concat_tables(tables), bounds)
     else:  # objects with other columns than the first are evaluated alone
-        results = [eval_query(query, t) for t in tables]
-    for result, n_scanned in zip(results, scanned):
-        store.log.record(
-            select_requests=1,
-            bytes_scanned=n_scanned,
-            bytes_returned=len(csvio.to_csv_bytes(result, header=False)),
-        )
+        results = [eval_query(query, t, [0, t.num_rows])[0] for t in tables]
+    store.log.record_all([
+        {"select_requests": 1, "bytes_scanned": n_scanned,
+         "bytes_returned": result.csv_size()}
+        for result, n_scanned in zip(results, scanned)
+    ])
     return results

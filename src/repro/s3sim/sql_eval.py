@@ -74,6 +74,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from repro.s3sim import csvio
 from repro.s3sim.sql_ast import (
     AGG_FUNCS, Between, BinOp, Case, Cast, Column, Func, InList, IsNull,
     Like, Literal, Query, Substring, UnaryOp, contains_aggregate, walk,
@@ -722,8 +723,50 @@ def _check(query: Query) -> bool:
     return any(agg_flags)
 
 
+class Result:
+    """One request's result rows, as evaluator values until a caller wants pandas.
+
+    ``columns`` maps each result column's name to its value: a numpy or
+    pyarrow vector of ``n`` rows, or a scalar that every row holds (an
+    aggregate's one row holds scalars). ``SELECT *`` keeps the object's
+    ``table`` instead. :meth:`to_pandas` is the request's frame, and
+    :meth:`csv_size` the length of its header-less CSV text, which S3
+    Select bills as ``bytes_returned``.
+    """
+
+    def __init__(self, columns: dict, n: int, *, aggregate: bool = False,
+                 table: pa.Table | None = None):
+        self.columns, self.n, self.aggregate, self.table = columns, n, aggregate, table
+
+    def to_pandas(self) -> pd.DataFrame:
+        if self.table is not None:
+            return self.table.to_pandas()
+        if self.aggregate:
+            return pd.DataFrame([self.columns])
+        return pd.DataFrame(
+            {name: _column(v, self.n) for name, v in self.columns.items()},
+            index=pd.RangeIndex(self.n),
+        )
+
+    def csv_size(self) -> int:
+        if self.table is None:
+            return csvio.csv_size(list(self.columns.values()), self.n)
+        # ``to_pandas`` gives back a pandas nullable-int column (Parquet's
+        # pandas metadata) as ints, NULL empty, where other ints with a
+        # NULL become floats.
+        meta = self.table.schema.pandas_metadata or {}
+        nullable = {
+            c["name"] for c in meta.get("columns", [])
+            if str(c.get("numpy_type")).startswith(("Int", "UInt"))
+        }
+        return csvio.csv_size([
+            pc.cast(col, pa.string()) if name in nullable else col
+            for name, col in zip(self.table.column_names, self.table.columns)
+        ], self.n)
+
+
 def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
-    """One result frame per object of the batch ``table`` (see ``eval_query``)."""
+    """One :class:`Result` per object of the batch ``table`` (see ``eval_query``)."""
     ev = _Evaluator(table, bounds)
     if query.where is not None:
         keep = ev.mask(query.where)
@@ -733,10 +776,11 @@ def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
 
     if aggregate:
         return [
-            pd.DataFrame([
+            Result(
                 {it.alias or f"_{i + 1}": obj.eval(it.expr)
-                 for i, it in enumerate(query.items)}
-            ])
+                 for i, it in enumerate(query.items)},
+                1, aggregate=True,
+            )
             for obj in ev.objects()
         ]
 
@@ -750,7 +794,10 @@ def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
             bounds = np.cumsum([0] + [end - lo for lo, end in zip(bounds, ends)]).tolist()
             ev = _Evaluator(table, bounds)
     if query.is_star:
-        return [table.slice(lo, hi - lo).to_pandas() for lo, hi in _pairs(bounds)]
+        return [
+            Result({}, hi - lo, table=table.slice(lo, hi - lo))
+            for lo, hi in _pairs(bounds)
+        ]
 
     names = [
         it.alias or (
@@ -760,18 +807,15 @@ def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
         for i, it in enumerate(query.items)
     ]
     values = [ev.eval(it.expr) for it in query.items]
-    frames = []
+    results = []
     for lo, hi in _pairs(bounds):
         if hi > lo:
             cut = [_cut(v, lo, hi) for v in values]
         else:  # an empty object's columns are typed by its own (no) rows
             alone = _Evaluator(table.slice(lo, 0))
             cut = [alone.eval(it.expr) for it in query.items]
-        frames.append(pd.DataFrame(
-            {name: _column(v, hi - lo) for name, v in zip(names, cut)},
-            index=pd.RangeIndex(hi - lo),
-        ))
-    return frames
+        results.append(Result(dict(zip(names, cut)), hi - lo))
+    return results
 
 
 def eval_query(query: Query, df, bounds: list | None = None):
@@ -784,14 +828,15 @@ def eval_query(query: Query, df, bounds: list | None = None):
 
     With ``bounds``, ``df`` is a batch: several objects' rows back to
     back, object ``i`` being rows ``bounds[i]:bounds[i + 1]``. The result
-    is then a list holding, for each object, the frame that it alone
-    gives. The batch is evaluated at once; if an object alone would type
-    a value otherwise, it is evaluated again one object at a time.
+    is then a list holding, for each object, the :class:`Result` that it
+    alone gives (``Result.to_pandas()`` is its frame). The batch is
+    evaluated at once; if an object alone would type a value otherwise,
+    it is evaluated again one object at a time.
     """
     table = _table(df)
     aggregate = _check(query)
     if bounds is None:
-        return _run(query, aggregate, table, [0, table.num_rows])[0]
+        return _run(query, aggregate, table, [0, table.num_rows])[0].to_pandas()
     bounds = [int(b) for b in bounds]
     try:
         return _run(query, aggregate, table, bounds)

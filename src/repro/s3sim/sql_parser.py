@@ -34,7 +34,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-  | (?P<string>'(?:[^']|'')*')
+  | (?P<string>'[^']*(?:''[^']*)*')  # '' is an escaped quote; unrolled, no per-char alternation
   | (?P<qident>"[^"]+")
   | (?P<ident>[A-Za-z_][A-Za-z_0-9$]*)
   | (?P<op><>|!=|<=|>=|=|<|>|\+|-|\*|/|%|\(|\)|,|\.)

@@ -10,6 +10,8 @@ algorithms rely on:
   supports one range per request -- paper SX, Suggestion 1 -- so the
   index algorithm must issue one request per selected row, which is the
   behaviour Figure 1 measures)
+* ``get_ranges(key, ranges)``  -- those single-range GETs of one object,
+  sent together: still one request (and one usage record) per range
 * ``size`` / ``list_keys`` / ``exists`` / ``delete``
 
 Every data-path request is recorded in the shared :class:`UsageLog`
@@ -18,6 +20,7 @@ processes because they share the filesystem with the driver.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from repro.s3sim.usage import UsageLog
@@ -69,6 +72,30 @@ class ObjectStore:
                 data = f.read(length)
         self.log.record(get_requests=1, bytes_transferred=len(data))
         return data
+
+    def get_ranges(self, key: str, ranges: list) -> list[bytes]:
+        """One single-range GET of object ``key`` per ``(offset, length)`` of ``ranges``.
+
+        Each GET is billed as :meth:`get` bills it, one usage record per
+        range in order, but the object is opened once and the records
+        are appended in one write. A missing object or a negative range
+        fails before anything is read or recorded.
+        """
+        p = self._path(key)
+        if not p.exists():
+            raise KeyError(f"no such object: {key!r}")
+        for rng in ranges:
+            if rng[0] < 0 or rng[1] < 0:
+                raise ValueError(f"invalid byte range: {rng!r}")
+        fd = os.open(p, os.O_RDONLY)
+        try:
+            chunks = [os.pread(fd, length, offset) for offset, length in ranges]
+        finally:
+            os.close(fd)
+        self.log.record_all(
+            [{"get_requests": 1, "bytes_transferred": len(c)} for c in chunks]
+        )
+        return chunks
 
     def storage_read(self, key: str) -> bytes:
         """Read object bytes *inside* the storage service (no billing).

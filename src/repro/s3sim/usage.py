@@ -1,11 +1,13 @@
 """Usage accounting for the simulated S3 service.
 
 Every S3 request (GET, ranged GET, S3 Select, PUT) appends one short
-JSON line to ``<root>/_usage.jsonl``. Appends are single ``O_APPEND``
-writes well under ``PIPE_BUF``, so they are atomic on Linux even when
-Spark executor processes and the driver write concurrently. The driver
-attributes usage to a query by snapshotting the log position before the
-query and reading the suffix afterwards.
+JSON line to ``<root>/_usage.jsonl``. A request's line, or a batch's
+lines (``record_all``: a phase's S3 Select batch, an object's ranged
+GETs), is one ``O_APPEND`` write to a local file, which Linux does not
+interleave with another process's write, so Spark executor processes
+and the driver can append concurrently. The driver attributes usage to
+a query by snapshotting the log position before the query and reading
+the suffix afterwards.
 
 The counter names mirror the billing dimensions of the paper's SII-B
 cost model: request counts, bytes scanned by S3 Select, bytes returned
@@ -70,6 +72,11 @@ class Usage:
         return {f.name: getattr(self, f.name) for f in fields(Usage)}
 
 
+_COUNTERS = frozenset(f.name for f in fields(Usage))
+# ``json.dumps(counters, separators=(",", ":"))``, without a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class UsageLog:
     """Append-only JSONL usage log shared by driver and executors."""
 
@@ -80,14 +87,24 @@ class UsageLog:
 
     def record(self, **counters: int) -> None:
         """Append one usage record; unknown counter names are rejected."""
-        valid = {f.name for f in fields(Usage)}
-        unknown = set(counters) - valid
-        if unknown:
-            raise ValueError(f"unknown usage counters: {sorted(unknown)}")
-        line = json.dumps(counters, separators=(",", ":")) + "\n"
+        self.record_all([counters])
+
+    def record_all(self, records: list) -> None:
+        """Append one line per ``{counter: value}`` record, in order, in one write.
+
+        The lines are those :meth:`record` writes for each record; an
+        unknown counter name rejects the batch before anything is written.
+        """
+        for counters in records:
+            unknown = counters.keys() - _COUNTERS
+            if unknown:
+                raise ValueError(f"unknown usage counters: {sorted(unknown)}")
+        if not records:
+            return
+        data = "".join(_encode(counters) + "\n" for counters in records).encode()
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            os.write(fd, line.encode())
+            os.write(fd, data)
         finally:
             os.close(fd)
 
@@ -97,15 +114,14 @@ class UsageLog:
 
     def read_since(self, pos: int = 0) -> Usage:
         """Sum all records appended after byte offset ``pos``."""
-        total = Usage()
         with open(self.path, "rb") as f:
             f.seek(pos)
-            for raw in f:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                total += Usage(**json.loads(raw))
-        return total
+            lines = [raw for raw in f.read().split(b"\n") if raw.strip()]
+        total = dict.fromkeys(_COUNTERS, 0)
+        for counters in json.loads(b"[" + b",".join(lines) + b"]"):
+            for name, value in counters.items():
+                total[name] += value
+        return Usage(**total)
 
     def total(self) -> Usage:
         return self.read_since(0)

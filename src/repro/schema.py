@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from repro.s3sim.sql_eval import cells_to_numbers
 
@@ -50,9 +51,15 @@ def project_ddl(ddl: str, columns: list) -> str:
     return ", ".join(" ".join(fields[c.lower()]) for c in columns)
 
 
-def typed_column(s: pd.Series, sql_type: str) -> pd.Series:
-    """One all-string column as the DDL type ``sql_type`` (case-insensitive)."""
+def typed_column(s, sql_type: str) -> pd.Series:
+    """One all-string column as the DDL type ``sql_type`` (case-insensitive).
+
+    ``s`` is a pandas Series or pyarrow strings (``core.tables``' results,
+    typed before they become pandas).
+    """
     t = sql_type.upper()
+    if isinstance(s, (pa.Array, pa.ChunkedArray)):
+        return pd.Series(_typed_cells(s, t))
     if t not in _INTEGRAL + _FRACTIONAL:
         text = s.astype(str)
         return text.where(s.notna().to_numpy() & (text.to_numpy() != ""), None)
@@ -60,10 +67,23 @@ def typed_column(s: pd.Series, sql_type: str) -> pd.Series:
     n = s.to_numpy() if s.dtype != object else cells_to_numbers(
         pa.array(s, type=pa.string(), from_pandas=True)
     )
-    integral = t in _INTEGRAL and not np.isnan(n).any()
-    return pd.Series(n, index=s.index, name=s.name).astype(
-        "int64" if integral else "float64"
-    )
+    return pd.Series(_typed_numbers(n, t), index=s.index, name=s.name)
+
+
+def _typed_numbers(n: np.ndarray, t: str) -> np.ndarray:
+    """Numbers as int64 for an integral type without NULLs, else float64."""
+    return n.astype("int64" if t in _INTEGRAL and not np.isnan(n).any() else "float64")
+
+
+def _typed_cells(cells, t: str) -> np.ndarray:
+    """Arrow strings as ``typed_column`` types a Series of them, as numpy."""
+    if isinstance(cells, pa.ChunkedArray):
+        cells = pa.concat_arrays(cells.chunks)
+    if t in _INTEGRAL + _FRACTIONAL:
+        return _typed_numbers(cells_to_numbers(cells), t)
+    text = cells.to_numpy(zero_copy_only=False)  # object, NULL as None
+    text[pc.fill_null(pc.equal(cells, ""), False).to_numpy(zero_copy_only=False)] = None
+    return text
 
 
 def spark_values(s: pd.Series, sql_type: str) -> list:
@@ -75,10 +95,14 @@ def spark_values(s: pd.Series, sql_type: str) -> list:
     return [None if np.isnan(v) else num(v) for v in col.tolist()]
 
 
-def apply_schema(pdf: pd.DataFrame, ddl: str) -> pd.DataFrame:
-    """Convert an all-string frame (CSV rows) to the DDL's types."""
+def apply_schema(frame, ddl: str) -> pd.DataFrame:
+    """Convert an all-string frame (CSV rows) to the DDL's types.
+
+    ``frame`` is a pandas frame or a ``pyarrow.Table`` of strings.
+    """
     types = parse_ddl(ddl)
+    names = frame.column_names if isinstance(frame, pa.Table) else frame.columns
     return pd.DataFrame({
-        c: typed_column(pdf[c], types.get(c.lower(), (c, "STRING"))[1])
-        for c in pdf.columns
+        c: typed_column(frame[c], types.get(c.lower(), (c, "STRING"))[1])
+        for c in names
     })

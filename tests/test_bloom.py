@@ -130,3 +130,10 @@ def test_build_dedupes_keys():
 def test_property_no_false_negatives(keys, fpr):
     bf = bloom.build_from_keys(keys, fpr)
     assert bf.might_contain(np.array(keys)).all()
+
+
+def test_bit_string_of_a_large_filter():
+    bf = bloom.build_from_keys(np.arange(0, 60_000, 7), fpr=0.01)
+    bits = bf.bit_string()
+    assert len(bits) == bf.m > 50_000
+    assert bits == "".join("1" if b else "0" for b in bf.bits)

@@ -64,13 +64,14 @@ def test_parse_rows_concatenated(frame):
     offs = csvio.row_byte_offsets(data)
     chunk = data[offs[0][0]:offs[0][0] + offs[0][1]] + data[offs[2][0]:offs[2][0] + offs[2][1]]
     out = csvio.parse_rows(chunk, ["a", "b"])
-    assert out["a"].tolist() == ["1", "3"]
+    assert out["a"].to_pylist() == ["1", "3"]
 
 
 def test_parse_rows_empty():
     out = csvio.parse_rows(b"", ["a", "b"])
     assert len(out) == 0
-    assert list(out.columns) == ["a", "b"]
+    assert out.column_names == ["a", "b"]
+    assert all(pa.types.is_string(t) for t in out.schema.types)
 
 
 def test_values_with_commas_quoted():
@@ -121,7 +122,7 @@ def test_every_column_is_str():
     assert all(table[c].null_count == 0 for c in table.column_names)
     for out in (
         table.to_pandas(),
-        csvio.parse_rows(data.split(b"\n", 1)[1], ["i", "f", "s", "e"]),
+        csvio.parse_rows(data.split(b"\n", 1)[1], ["i", "f", "s", "e"]).to_pandas(),
     ):
         assert all(out[c].dtype == object for c in out.columns)
         assert all(isinstance(v, str) for c in out.columns for v in out[c])

@@ -18,6 +18,7 @@ import pytest
 from repro.core import filter_ops, groupby_ops, join_ops, topk_ops, tpch
 from repro.core.runner import Runner
 from repro.datasource import s3select
+from repro.s3sim import csvio
 
 
 @pytest.fixture()
@@ -128,3 +129,30 @@ def test_only_tables_writes_a_limit_into_s3_select_text():
         )
     ]
     assert found == []
+
+
+def test_only_csvio_renders_csv_text_in_s3sim():
+    """``bytes_returned`` is counted from result columns (``csvio.csv_size``);
+    ``to_csv_bytes`` is left as the tests' reference and the table writer's encoder."""
+    found = sorted(
+        p.name for p in Path(csvio.__file__).parent.glob("*.py")
+        if p.name != "csvio.py" and _calls(ast.parse(p.read_text()), "to_csv_bytes")
+    )
+    assert found == []
+
+
+def test_index_filter_sends_no_get_per_row():
+    """Its row fetch sends an object's ranged GETs together (``get_ranges``)."""
+    tree = _core_sources()["filter_ops.py"]
+    loops = [
+        n for n in ast.walk(tree)
+        if isinstance(n, (ast.For, ast.While, ast.ListComp, ast.GeneratorExp,
+                          ast.SetComp, ast.DictComp))
+    ]
+    per_row = [
+        ast.unparse(call) for loop in loops for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "get" and ast.unparse(call.func.value).endswith("store")
+    ]
+    assert per_row == []
+    assert _calls(tree, "get_ranges")

@@ -145,3 +145,40 @@ def test_parquet_returns_csv_sized_payload(st):
     out = s3_select(st, "t.parquet", "SELECT v FROM S3Object", input_format="parquet")
     u = st.log.read_since(pos)
     assert u.bytes_returned == len(csvio.to_csv_bytes(out, header=False))
+
+
+OBJECTS = {
+    "plain": b"a,b\n1,x\n2,y\n3,z\n",
+    "no final newline": b"a,b\n1,x\n2,y\n3,z",
+    "quoted newline": b'a,b\n1,"x\ny"\n2,"q ""r"""\n3,z\n',
+    "blank lines": b"a,b\n1,x\n\n2,y\n\n3,z\n\n",
+    "crlf": b"a,b\r\n1,x\r\n2,y\r\n3,z\r\n",
+}
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_limit_prefix_answers_as_a_full_decode(tmp_path, name, limit):
+    """A LIMIT with no WHERE decodes only its prefix; rows and usage are a full decode's."""
+    store = ObjectStore(tmp_path)
+    data = OBJECTS[name]
+    store.put("t.csv", data)
+    full = csvio.from_csv_bytes(data).to_pandas()
+    assert len(full) == 3
+    pos = store.log.position()
+    out = s3_select(store, "t.csv", f"SELECT b, a FROM S3Object LIMIT {limit}")
+    u = store.log.read_since(pos)
+    pd.testing.assert_frame_equal(out, full[["b", "a"]].head(limit), check_index_type=False)
+    assert u.bytes_scanned == int(len(data) * min(1.0, limit / 3))
+    assert u.bytes_returned == len(csvio.to_csv_bytes(out, header=False))
+
+
+def test_head_cuts_lines_only_where_lines_are_rows():
+    assert csvio.head(OBJECTS["plain"], 1) == (b"a,b\n1,x\n", 3)
+    assert csvio.head(OBJECTS["plain"], 0) == (b"a,b\n", 3)
+    assert csvio.head(OBJECTS["no final newline"], 2) == (b"a,b\n1,x\n2,y\n", 3)
+    assert csvio.head(OBJECTS["no final newline"], 3) == (OBJECTS["no final newline"], 3)
+    assert csvio.head(b"a,b\n", 1) == (b"a,b\n", 0)
+    for name in ("quoted newline", "blank lines", "crlf"):
+        assert csvio.head(OBJECTS[name], 1) is None
+    assert csvio.head(b"a,b", 1) is None  # no line ends, not even the header's

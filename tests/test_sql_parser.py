@@ -1,8 +1,14 @@
 """Unit tests for the S3 Select SQL parser (accept + reject sets)."""
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from repro.s3sim import sql_ast as A
-from repro.s3sim.sql_parser import SqlSyntaxError, parse, tokenize
+from repro.s3sim.sql_parser import _TOKEN_RE, SqlSyntaxError, parse, tokenize
+
+# The string-literal pattern that the tokenizer's unrolled one must equal.
+_ALTERNATION = re.compile(r"'(?:[^']|'')*'")
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -181,3 +187,31 @@ def test_rejects_unsupported_features(sql, msg):
 def test_rejects_malformed(sql):
     with pytest.raises(SqlSyntaxError):
         parse(sql)
+
+
+@pytest.mark.parametrize("literal", [
+    "''", "'a'", "''''", "'it''s'", "'a''''b'", "'" + "01" * 25_000 + "'",
+    "'" + "0''1" * 12_500 + "'",
+])
+def test_string_literal_tokens(literal):
+    """A string literal is one token, ``''`` escapes included, however long."""
+    sql = f"SELECT a FROM S3Object WHERE SUBSTRING({literal}, 2, 1) = '1'"
+    tokens = tokenize(sql)
+    assert ("string", literal) in tokens
+    assert tokens[-3:] == [("op", "="), ("string", "'1'"), ("eof", "")]
+
+
+def test_unterminated_string_is_junk():
+    with pytest.raises(SqlSyntaxError, match="unexpected character"):
+        tokenize("SELECT 'abc FROM S3Object")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=hst.text(alphabet="'a0 ,", max_size=12))
+def test_string_token_is_the_alternation_pattern_match(text):
+    """The unrolled literal pattern matches what ``'(?:[^']|'')*'`` matches."""
+    for start in range(len(text)):
+        m = _TOKEN_RE.match(text, start)
+        want = _ALTERNATION.match(text, start)
+        got = m if m is not None and m.lastgroup == "string" else None
+        assert (got and got.group()) == (want and want.group())

@@ -105,3 +105,41 @@ def test_meta_not_billed(st):
     st.put_meta("m", "x")
     st.get_meta("m")
     assert st.log.read_since(pos).total_requests == 0
+
+
+def _log_lines(st, fn):
+    pos = st.log.position()
+    out = fn()
+    return out, st.log.path.read_bytes()[pos:]
+
+
+def test_get_ranges_bills_as_one_get_per_range(st):
+    """Same chunks and the same log bytes, line for line, as a ``get`` per range."""
+    st.put("k", b"0123456789")
+    ranges = [(0, 4), (2, 3), (8, 100), (20, 5), (5, 0)]
+    want, want_log = _log_lines(st, lambda: [st.get("k", rng) for rng in ranges])
+    got, got_log = _log_lines(st, lambda: st.get_ranges("k", ranges))
+    assert got == want == [b"0123", b"234", b"89", b"", b""]
+    assert got_log == want_log
+    assert len(got_log.splitlines()) == len(ranges)
+
+
+def test_get_ranges_of_no_range_records_nothing(st):
+    st.put("k", b"0123")
+    assert _log_lines(st, lambda: st.get_ranges("k", [])) == ([], b"")
+
+
+def test_get_ranges_missing_object_names_it_and_records_nothing(st):
+    pos = st.log.position()
+    with pytest.raises(KeyError, match="no such object: 'nope'"):
+        st.get_ranges("nope", [(0, 1)])
+    assert st.log.position() == pos
+
+
+@pytest.mark.parametrize("bad", [(-1, 2), (0, -1)])
+def test_get_ranges_bad_range_raises_and_records_nothing(st, bad):
+    st.put("k", b"0123")
+    pos = st.log.position()
+    with pytest.raises(ValueError, match="invalid byte range"):
+        st.get_ranges("k", [(0, 1), bad])
+    assert st.log.position() == pos

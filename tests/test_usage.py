@@ -110,3 +110,44 @@ def test_log_concurrent_appends(tmp_path):
     total = log.total()
     assert total.select_requests == 400
     assert total.bytes_scanned == 1200
+
+
+def test_record_all_writes_the_lines_record_writes(tmp_path):
+    records = [
+        {"get_requests": 1, "bytes_transferred": 40},
+        {"select_requests": 1, "bytes_scanned": 7, "bytes_returned": 0},
+        {"put_requests": 1},
+    ]
+    one, batch = UsageLog(tmp_path / "one.jsonl"), UsageLog(tmp_path / "batch.jsonl")
+    for counters in records:
+        one.record(**counters)
+    batch.record_all(records)
+    assert batch.path.read_bytes() == one.path.read_bytes()
+    assert batch.path.read_bytes().splitlines()[0] == b'{"get_requests":1,"bytes_transferred":40}'
+
+
+def test_record_all_rejects_a_batch_with_an_unknown_counter(tmp_path):
+    log = UsageLog(tmp_path / "u.jsonl")
+    with pytest.raises(ValueError, match="unknown usage counters"):
+        log.record_all([{"get_requests": 1}, {"bogus": 1}])
+    assert log.position() == 0
+
+
+def test_read_since_sums_as_usage_addition(tmp_path):
+    """The summing fast path equals adding one ``Usage`` per line, blank lines skipped."""
+    log = UsageLog(tmp_path / "u.jsonl")
+    records = [
+        {"select_requests": 1, "bytes_scanned": 10, "bytes_returned": 3},
+        {"get_requests": 1, "bytes_transferred": 5},
+        {"put_requests": 1},
+    ] * 5
+    log.record_all(records)
+    with open(log.path, "ab") as f:
+        f.write(b"\n  \n")
+    want = Usage()
+    for counters in records:
+        want += Usage(**counters)
+    assert log.total() == want
+    pos = log.position()
+    log.record(get_requests=2)
+    assert log.read_since(pos) == Usage(get_requests=2)
