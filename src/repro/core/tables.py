@@ -123,7 +123,7 @@ def select_table(
 ) -> pd.DataFrame:
     """``columns`` of ``table``'s rows matching ``where``, fetched by the driver.
 
-    One S3 Select request per object (``select_all``), typed by the
+    One S3 Select request per object (``select_results``), typed by the
     table's DDL: the rows, usage and dtypes of
     ``read_table(spark, root, name, columns=columns).filter(where).toPandas()``
     without a Spark job. ``limit`` caps the rows of *each* object (a

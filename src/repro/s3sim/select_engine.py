@@ -25,9 +25,10 @@ is checked and parsed once, each object is decoded on its own, and the
 decoded objects are evaluated together, each request answering what it
 would alone; nothing is kept between batches. Its results stay Arrow and
 numpy columns (``sql_eval.Result``) for callers that type them
-themselves (``core.tables.select_table``); ``select_all`` turns each into
-its pandas frame, and ``s3_select`` is a batch of one, which is how
-Spark's workers reach it through the ``s3select`` DataSource.
+themselves (``core.tables.select_table``). ``s3_select`` is a batch of
+one, which is how Spark's workers reach it through the ``s3select``
+DataSource; ``select_all`` gives a batch's pandas frames, the form the
+tests compare a batch against one request at a time.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import pandas as pd
 import pyarrow as pa
 
 from repro.s3sim import csvio, parquetio
-from repro.s3sim.sql_ast import Query, referenced_columns
+from repro.s3sim.sql_ast import Query, contains_aggregate, referenced_columns
 from repro.s3sim.sql_eval import Result, eval_query
 from repro.s3sim.sql_parser import parse
 from repro.s3sim.store import ObjectStore
@@ -73,9 +74,9 @@ def s3_select(
     Projected CSV columns are ``str``; computed columns and aggregates
     keep native numeric types for caller convenience (``bytes_returned``
     counts their CSV rendering either way). A batch of one
-    (``select_all``).
+    (``select_results``).
     """
-    return select_all(store, [key], sql, input_format)[0]
+    return select_results(store, [key], sql, input_format)[0].to_pandas()
 
 
 def select_all(
@@ -83,7 +84,9 @@ def select_all(
 ) -> list[pd.DataFrame]:
     """Run ``sql`` on each object of ``keys``: one frame per key, in key order.
 
-    ``select_results``, each result as the pandas frame it makes.
+    ``select_results``, each result as the pandas frame it makes. No
+    request path sends through it; the tests use it to compare a batch
+    with its requests sent one at a time (``s3_select``).
     """
     return [r.to_pandas() for r in select_results(store, keys, sql, input_format)]
 
@@ -95,12 +98,12 @@ def select_results(
 
     One request per object, sent as one batch: the SQL is size-checked,
     parsed and checked once; each object is read and decoded on its own
-    (so ``bytes_scanned`` is its own; a CSV ``LIMIT`` with no WHERE
-    decodes only the rows it returns, ``csvio.head``); and the decoded
-    objects are evaluated together, each request's result being the one
-    its object alone gives (``sql_eval.eval_query``). Each request then
-    records its own usage, all of the batch's in one append, with
-    ``bytes_returned`` counted from its result's columns
+    (so ``bytes_scanned`` is its own; a CSV ``LIMIT`` with no WHERE and
+    no aggregate decodes only the rows it returns, ``csvio.head``); and
+    the decoded objects are evaluated together, each request's result
+    being the one its object alone gives (``sql_eval.eval_query``). Each
+    request then records its own usage, all of the batch's in one append,
+    with ``bytes_returned`` counted from its result's columns
     (``Result.csv_size``). Nothing is kept from one batch to the next.
     A request that fails fails the batch before any of its requests is
     recorded.
@@ -118,7 +121,11 @@ def select_results(
     # Only the columns the query references are decoded; a CSV scan (and
     # so ``bytes_scanned``) still covers the whole object.
     cols = None if query.is_star else sorted(referenced_columns(query))
-    prefix_only = query.limit is not None and query.where is None
+    # An aggregate reads every row; its LIMIT caps only its one result row.
+    prefix_only = (
+        query.limit is not None and query.where is None
+        and not any(contains_aggregate(it.expr) for it in query.items)
+    )
     tables, scanned = [], []
     for key in keys:
         data = store.storage_read(key)

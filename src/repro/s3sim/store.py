@@ -58,28 +58,24 @@ class ObjectStore:
         costs one HTTP request -- this request-per-row overhead is what
         makes the paper's index algorithm collapse at low selectivity.
         """
+        if rng is not None:
+            return self.get_ranges(key, [rng])[0]
         p = self._path(key)
         if not p.exists():
             raise KeyError(f"no such object: {key!r}")
-        if rng is None:
-            data = p.read_bytes()
-        else:
-            offset, length = rng
-            if offset < 0 or length < 0:
-                raise ValueError(f"invalid byte range: {rng!r}")
-            with open(p, "rb") as f:
-                f.seek(offset)
-                data = f.read(length)
+        data = p.read_bytes()
         self.log.record(get_requests=1, bytes_transferred=len(data))
         return data
 
     def get_ranges(self, key: str, ranges: list) -> list[bytes]:
         """One single-range GET of object ``key`` per ``(offset, length)`` of ``ranges``.
 
-        Each GET is billed as :meth:`get` bills it, one usage record per
-        range in order, but the object is opened once and the records
-        are appended in one write. A missing object or a negative range
-        fails before anything is read or recorded.
+        Each GET is billed as a whole-object :meth:`get` is (one request
+        and the bytes it transfers), one usage record per range in order,
+        but the object is opened once and the records are appended in one
+        write. A ranged :meth:`get` is a call with one range. A missing
+        object or a negative range fails before anything is read or
+        recorded.
         """
         p = self._path(key)
         if not p.exists():

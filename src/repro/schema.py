@@ -58,16 +58,15 @@ def typed_column(s, sql_type: str) -> pd.Series:
     typed before they become pandas).
     """
     t = sql_type.upper()
-    if isinstance(s, (pa.Array, pa.ChunkedArray)):
+    if not isinstance(s, pd.Series):
         return pd.Series(_typed_cells(s, t))
-    if t not in _INTEGRAL + _FRACTIONAL:
-        text = s.astype(str)
-        return text.where(s.notna().to_numpy() & (text.to_numpy() != ""), None)
-    # Parquet columns arrive typed; CSV cells by S3 Select's coercion.
-    n = s.to_numpy() if s.dtype != object else cells_to_numbers(
-        pa.array(s, type=pa.string(), from_pandas=True)
-    )
-    return pd.Series(_typed_numbers(n, t), index=s.index, name=s.name)
+    if s.dtype != object and t in _INTEGRAL + _FRACTIONAL:
+        # Parquet's numeric columns arrive typed.
+        return pd.Series(_typed_numbers(s.to_numpy(), t), index=s.index, name=s.name)
+    if s.dtype != object:
+        s = s.astype(str).where(s.notna(), None)
+    cells = pa.array(s, type=pa.string(), from_pandas=True)
+    return pd.Series(_typed_cells(cells, t), index=s.index, name=s.name)
 
 
 def _typed_numbers(n: np.ndarray, t: str) -> np.ndarray:
@@ -76,7 +75,11 @@ def _typed_numbers(n: np.ndarray, t: str) -> np.ndarray:
 
 
 def _typed_cells(cells, t: str) -> np.ndarray:
-    """Arrow strings as ``typed_column`` types a Series of them, as numpy."""
+    """Arrow strings (NULL or empty cells are NULL) as the type ``t``, as numpy.
+
+    Numbers are read by S3 Select's coercion; text is an ``object`` array
+    with NULL as ``None``.
+    """
     if isinstance(cells, pa.ChunkedArray):
         cells = pa.concat_arrays(cells.chunks)
     if t in _INTEGRAL + _FRACTIONAL:

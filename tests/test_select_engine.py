@@ -173,6 +173,24 @@ def test_limit_prefix_answers_as_a_full_decode(tmp_path, name, limit):
     assert u.bytes_returned == len(csvio.to_csv_bytes(out, header=False))
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 5])
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+@pytest.mark.parametrize("select, want", [
+    ("COUNT(*)", 3), ("SUM(CAST(a AS INT))", 6), ("MAX(b)", "z"),
+])
+def test_limit_of_an_aggregate_still_reads_every_row(tmp_path, name, limit, select, want):
+    """An aggregate's LIMIT caps its one result row, not the rows it reads."""
+    store = ObjectStore(tmp_path)
+    data = OBJECTS[name]
+    store.put("t.csv", data)
+    pos = store.log.position()
+    out = s3_select(store, "t.csv", f"SELECT {select} FROM S3Object LIMIT {limit}")
+    u = store.log.read_since(pos)
+    assert out.shape == (1, 1) and out.iloc[0, 0] == want
+    assert u.bytes_scanned == int(len(data) * min(1.0, limit / 3))
+    assert u.bytes_returned == len(csvio.to_csv_bytes(out, header=False))
+
+
 def test_head_cuts_lines_only_where_lines_are_rows():
     assert csvio.head(OBJECTS["plain"], 1) == (b"a,b\n1,x\n", 3)
     assert csvio.head(OBJECTS["plain"], 0) == (b"a,b\n", 3)
