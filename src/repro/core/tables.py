@@ -43,8 +43,6 @@ from repro.schema import apply_schema, parse_ddl, typed_column
 # A column with at most this many distinct non-NULL values has them
 # listed in the manifest (``StoredTable.domains``).
 DOMAIN_CAP = 16
-# Column statistics decode an object this many CSV bytes at a time.
-STATS_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -91,11 +89,14 @@ class StoredTable:
 
 
 def normalize(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Dates -> ISO strings; everything else passes through."""
+    """Dates -> ISO strings (NaT -> NaN); everything else passes through."""
     out = pdf.copy()
     for c in out.columns:
         if pd.api.types.is_datetime64_any_dtype(out[c]):
-            out[c] = out[c].dt.strftime("%Y-%m-%d")
+            dates = out[c].to_numpy()
+            iso = np.datetime_as_string(dates, unit="D").astype(object)
+            iso[np.isnat(dates)] = np.nan
+            out[c] = iso
     return out
 
 
@@ -148,35 +149,29 @@ def select_table(
     )
 
 
-def _cell_stats(data: bytes) -> dict:
-    """Per column of one CSV object: ``(sum of cell widths, distinct cells)``.
+def _add_cell_stats(stats: dict, name: str, cells: pa.Array) -> None:
+    """Fold one object's rendered cells of column ``name`` into ``stats``.
 
-    The distinct cells are a set of the non-empty ones (an empty cell is
-    NULL), or None when there are more than ``DOMAIN_CAP`` of them. The
-    object is read in blocks (``STATS_BLOCK_BYTES``), so only one block
-    is ever decoded at a time.
+    ``stats[name]`` is ``(sum of cell widths, distinct cells)``: the
+    distinct cells are a set of the non-empty ones (an empty cell is
+    NULL), or None once there are more than ``DOMAIN_CAP`` of them.
     """
-    batches = csvio.csv_batches(data, STATS_BLOCK_BYTES)
-    out = {c: (0, set()) for c in batches.schema.names}
-    for batch in batches:
-        for c, col in zip(batch.schema.names, batch.columns):
-            width, domain = out[c]
-            width += pc.sum(pc.utf8_length(col)).as_py() or 0
-            if domain is not None:
-                values = pc.unique(col)
-                values = values.filter(pc.not_equal(values, ""))
-                if len(values) > DOMAIN_CAP:
-                    domain = None
-                else:
-                    domain |= set(values.to_pylist())
-                    if len(domain) > DOMAIN_CAP:
-                        domain = None
-            out[c] = (width, domain)
-    return out
+    width, domain = stats.get(name, (0, set()))
+    width += pc.sum(pc.utf8_length(cells)).as_py() or 0
+    if domain is not None:
+        values = pc.unique(cells)
+        values = values.filter(pc.not_equal(values, ""))
+        if len(values) > DOMAIN_CAP:
+            domain = None
+        else:
+            domain |= set(values.to_pylist())
+            if len(domain) > DOMAIN_CAP:
+                domain = None
+    stats[name] = (width, domain)
 
 
-def _column_stats(parts: list, ddl: str, n_rows: int) -> tuple[dict, dict]:
-    """``(widths, domains)`` of a table from its objects' :func:`_cell_stats`.
+def _column_stats(stats: dict, ddl: str, n_rows: int) -> tuple[dict, dict]:
+    """``(widths, domains)`` of a table from its columns' :func:`_add_cell_stats`.
 
     A width is the mean over rows of a cell's length in characters (a
     CSV cell holds ``str(value)``). A domain holds the column's values
@@ -184,14 +179,11 @@ def _column_stats(parts: list, ddl: str, n_rows: int) -> tuple[dict, dict]:
     """
     widths, domains = {}, {}
     for name, sql_type in parse_ddl(ddl).values():
-        stats = [part[name] for part in parts]
-        widths[name] = sum(w for w, _ in stats) / max(1, n_rows)
-        if any(d is None for _, d in stats):
-            continue
-        values = set().union(*(d for _, d in stats))
-        if len(values) <= DOMAIN_CAP:
+        width, domain = stats[name]
+        widths[name] = width / max(1, n_rows)
+        if domain is not None:
             domains[name] = sorted(typed_column(
-                pd.Series(list(values), dtype=object), sql_type
+                pd.Series(list(domain), dtype=object), sql_type
             ).tolist())
     return widths, domains
 
@@ -205,21 +197,28 @@ def write_table(
     index_columns: tuple = (),
     parquet: bool = False,
 ) -> StoredTable:
-    """Partition ``pdf`` into CSV objects ``<name>/part{i}.csv`` (+extras)."""
+    """Partition ``pdf`` into CSV objects ``<name>/part{i}.csv`` (+extras).
+
+    Each object's columns are rendered once (``csvio.render``); its CSV
+    bytes, its rows' byte ranges for the index objects, and the
+    manifest's statistics all come from those cells.
+    """
     pdf = normalize(pdf)
     ddl = schema_ddl(pdf)
     chunks = np.array_split(np.arange(len(pdf)), n_partitions)
-    keys, parquet_keys, parts = [], [], []
+    keys, parquet_keys, stats = [], [], {}
     total = 0
     pq_total = 0
     for i, idx in enumerate(chunks):
         part = pdf.iloc[idx]
-        data = csvio.to_csv_bytes(part)
+        cells = {c: csvio.render(part[c]) for c in part.columns}
+        data, bounds = csvio.encode(cells)
         key = f"{name}/part{i}.csv"
         store.put(key, data)
         keys.append(key)
         total += len(data)
-        parts.append(_cell_stats(data))
+        for c, col in cells.items():
+            _add_cell_stats(stats, c, col)
         if parquet:
             pq_data = parquetio.to_parquet_bytes(part)
             pq_key = f"{name}/part{i}.parquet"
@@ -227,18 +226,13 @@ def write_table(
             parquet_keys.append(pq_key)
             pq_total += len(pq_data)
         for col in index_columns:
-            offsets = csvio.row_byte_offsets(data)
-            idx_pdf = pd.DataFrame(
-                {
-                    col: part[col].to_numpy(),
-                    "_offset": [o for o, _ in offsets],
-                    "_length": [ln for _, ln in offsets],
-                }
-            )
-            store.put(
-                f"{name}/index/{col}/part{i}.csv", csvio.to_csv_bytes(idx_pdf)
-            )
-    widths, domains = _column_stats(parts, ddl, len(pdf))
+            idx_data, _ = csvio.encode({
+                col: cells[col],
+                "_offset": csvio.render(bounds[:-1]),
+                "_length": csvio.render(np.diff(bounds)),
+            })
+            store.put(f"{name}/index/{col}/part{i}.csv", idx_data)
+    widths, domains = _column_stats(stats, ddl, len(pdf))
     store.put_meta(f"{name}/schema.ddl", ddl)
     store.put_meta(
         f"{name}/manifest.json",

@@ -11,16 +11,19 @@ Objects are decoded with ``pyarrow.csv`` into a ``pyarrow.Table``,
 every column typed ``string`` and no cell ever read as NULL: empty cells
 are ``""``, and ``NA``/``null``/``NaN`` tokens, leading zeros and
 surrounding spaces stay as written. It is the only decoder; full objects,
-ranged-GET rows and the DataSource all go through it, and the load-time
-column statistics read objects block by block (``csv_batches``). The S3 Select
+ranged-GET rows and the DataSource all go through it. The S3 Select
 evaluator works on the Arrow table directly, and so do the index
 filter's row fetch (``parse_rows``) and ``core.tables``, which type the
 strings by the table's DDL before they become pandas; the DataSource's
 plain GET calls ``to_pandas()``, which gives all-``str`` object columns.
 
-This module also computes per-row byte offsets at write time, which the
-paper's index tables (SIV-A) store so that individual rows can later be
-fetched with single-byte-range GETs.
+Objects are encoded in one columnar pass: each column is rendered once
+as an Arrow string array of cells (``render``), and ``encode`` joins
+those cells into the object's bytes and the byte range of every row,
+which the paper's index tables (SIV-A) store so that single rows can
+later be fetched with ranged GETs. The load-time column statistics read
+the same cells, never the encoded object. The bytes equal pandas'
+``to_csv`` (``to_csv_bytes``), which stays as the reference.
 """
 from __future__ import annotations
 
@@ -43,10 +46,80 @@ _QUOTED = b',"\n'
 
 
 def to_csv_bytes(df: pd.DataFrame, header: bool = True) -> bytes:
-    """Serialize a frame to CSV bytes (header row included by default)."""
+    """Serialize a frame to CSV bytes (header row included by default).
+
+    pandas' encoder: the reference that :func:`encode` and
+    :func:`csv_size` are held to.
+    """
     buf = io.StringIO()
     df.to_csv(buf, index=False, header=header)
     return buf.getvalue().encode()
+
+
+def render(values: pd.Series | np.ndarray) -> pa.Array:
+    """A column's CSV cells as ``to_csv_bytes`` writes them, before quoting.
+
+    ``values`` is a column of a normalized frame, or a numpy vector of
+    the same dtypes. An int renders in decimal (an Arrow cast), a float
+    as numpy renders it (``astype(str)``, which pandas calls), a string
+    as it is, and NULL or NaN as an empty cell. Unquoted, a cell is what
+    the decoder reads back, unless it holds a ``\\r`` (which pandas
+    does not quote).
+    """
+    kind = values.dtype.kind
+    if kind == "f":
+        floats = np.asarray(values)
+        cells = floats.astype(str)
+        cells[np.isnan(floats)] = ""
+        return pa.array(cells, pa.string())
+    if kind in "iu":
+        cells = pc.cast(pa.array(values, from_pandas=True), pa.string())
+    else:
+        cells = pa.array(values, pa.string(), from_pandas=True)
+    return pc.fill_null(cells, "")
+
+
+def _quote(cells: pa.Array) -> pa.Array:
+    """Cells holding a ``_QUOTED`` byte in quotes, their quotes doubled."""
+    if not _may_quote(cells):
+        return cells
+    quoted = pc.binary_join_element_wise(
+        '"', pc.replace_substring(cells, '"', '""'), '"', ""
+    )
+    return pc.if_else(pc.match_substring_regex(cells, '[,"\n]'), quoted, cells)
+
+
+def _lines(columns: list) -> pa.Array:
+    """Each row's CSV line of rendered cells, its newline included."""
+    cells = [_quote(c) for c in columns]
+    if len(cells) == 1:  # a row of one empty cell is ``""``
+        cells[0] = pc.if_else(pc.equal(cells[0], ""), '""', cells[0])
+    # The newline joins the last cell, so the rows are built in one copy.
+    cells[-1] = pc.binary_join_element_wise(cells[-1], "\n", "")
+    return pc.binary_join_element_wise(*cells, ",")
+
+
+def _joined(lines: pa.Array) -> tuple[memoryview, np.ndarray]:
+    """A string array's values as one buffer, and where each starts (and the last ends)."""
+    bounds = np.frombuffer(lines.buffers()[1], np.int32)[
+        lines.offset:lines.offset + len(lines) + 1
+    ]
+    data = memoryview(lines.buffers()[2] or b"")[bounds[0]:bounds[-1]]
+    return data, bounds.astype(np.int64) - bounds[0]
+
+
+def encode(columns: dict) -> tuple[bytes, np.ndarray]:
+    """``(data, bounds)``: a CSV object of rendered cells and its rows' byte ranges.
+
+    ``columns`` maps each column name to its cells (:func:`render`);
+    ``data`` is ``to_csv_bytes`` of the frame they came from, header
+    first. ``bounds`` holds ``n + 1`` offsets: row ``i`` is
+    ``data[bounds[i]:bounds[i + 1]]``, its newline included, which is
+    the byte range an index table stores (SIV-A).
+    """
+    header, _ = _joined(_lines([pa.array([str(name)]) for name in columns]))
+    body, bounds = _joined(_lines(list(columns.values())))
+    return b"".join([header, body]), bounds + len(header)
 
 
 def csv_size(columns: list, n: int) -> int:
@@ -184,23 +257,6 @@ def from_csv_bytes(
     )
 
 
-def csv_batches(data: bytes, block_size: int) -> pacsv.CSVStreamingReader:
-    """``from_csv_bytes(data)`` as record batches of about ``block_size`` CSV bytes.
-
-    For a reader that looks at each row once: only one batch is decoded
-    at a time. The reader's ``schema`` names the columns even when the
-    object has no rows, and so no batch.
-    """
-    read, convert = _options(data, True, None, None)
-    read.block_size = block_size
-    return pacsv.open_csv(
-        io.BytesIO(data),
-        read_options=read,
-        parse_options=_PARSE,
-        convert_options=convert,
-    )
-
-
 def head(data: bytes, n: int) -> tuple[bytes, int] | None:
     """``(prefix, rows)``: a CSV object's header and first ``n`` data rows, and its row count.
 
@@ -218,26 +274,6 @@ def head(data: bytes, n: int) -> tuple[bytes, int] | None:
     if n >= rows:
         return data, rows
     return data[: ends[n] + 1], rows
-
-
-def row_byte_offsets(data: bytes) -> list[tuple[int, int]]:
-    """``(offset, length)`` of every data row in a header-ful CSV object.
-
-    Length includes the trailing newline so a ranged GET returns exactly
-    one parseable CSV line. Offsets are what the index table stores.
-    """
-    out: list[tuple[int, int]] = []
-    # Skip the header line.
-    start = data.index(b"\n") + 1
-    n = len(data)
-    while start < n:
-        try:
-            end = data.index(b"\n", start) + 1
-        except ValueError:  # final row without trailing newline
-            end = n
-        out.append((start, end - start))
-        start = end
-    return out
 
 
 def parse_rows(data: bytes, columns: list[str]) -> pa.Table:

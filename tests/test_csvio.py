@@ -1,8 +1,9 @@
-"""Unit tests for repro.s3sim.csvio (wire format + byte offsets)."""
+"""Unit tests for repro.s3sim.csvio (wire format + the byte offsets landing stores)."""
 import pandas as pd
 import pyarrow as pa
 import pytest
 
+from repro.core.tables import write_table
 from repro.s3sim import csvio
 
 
@@ -29,39 +30,39 @@ def test_headerless_roundtrip(frame):
     assert out["b"].to_pylist() == ["x", "y", "z"]
 
 
-def test_row_byte_offsets_cover_all_rows(frame):
-    data = csvio.to_csv_bytes(frame)
-    offs = csvio.row_byte_offsets(data)
+def _landed(store, frame) -> tuple[bytes, list]:
+    """One object of ``frame``, and the ``(offset, length)`` its index stores per row."""
+    t = write_table(store, "t", frame, n_partitions=1, index_columns=("a",))
+    index = csvio.from_csv_bytes(store.storage_read(t.index_key("a", 0)))
+    offsets = [(int(o), int(ln)) for o, ln in zip(
+        index["_offset"].to_pylist(), index["_length"].to_pylist()
+    )]
+    return store.storage_read(t.keys[0]), offsets
+
+
+def test_row_byte_offsets_cover_all_rows(fresh_store, frame):
+    _, offs = _landed(fresh_store, frame)
     assert len(offs) == 3
 
 
-def test_row_byte_offsets_slice_to_rows(frame):
-    data = csvio.to_csv_bytes(frame)
-    for i, (off, ln) in enumerate(csvio.row_byte_offsets(data)):
+def test_row_byte_offsets_slice_to_rows(fresh_store, frame):
+    data, offs = _landed(fresh_store, frame)
+    for i, (off, ln) in enumerate(offs):
         row = data[off:off + ln]
         assert row.decode().strip() == f"{frame.a[i]},{frame.b[i]}"
 
 
-def test_row_byte_offsets_no_trailing_newline():
-    data = b"h\n1,a\n2,b"  # last row unterminated
-    offs = csvio.row_byte_offsets(data)
-    assert len(offs) == 2
-    off, ln = offs[1]
-    assert data[off:off + ln] == b"2,b"
-
-
-def test_offsets_are_contiguous(frame):
-    data = csvio.to_csv_bytes(frame)
-    offs = csvio.row_byte_offsets(data)
+def test_offsets_are_contiguous(fresh_store, frame):
+    data, offs = _landed(fresh_store, frame)
     header_end = data.index(b"\n") + 1
     assert offs[0][0] == header_end
     for (o1, l1), (o2, _) in zip(offs, offs[1:]):
         assert o1 + l1 == o2
+    assert offs[-1][0] + offs[-1][1] == len(data)
 
 
-def test_parse_rows_concatenated(frame):
-    data = csvio.to_csv_bytes(frame)
-    offs = csvio.row_byte_offsets(data)
+def test_parse_rows_concatenated(fresh_store, frame):
+    data, offs = _landed(fresh_store, frame)
     chunk = data[offs[0][0]:offs[0][0] + offs[0][1]] + data[offs[2][0]:offs[2][0] + offs[2][1]]
     out = csvio.parse_rows(chunk, ["a", "b"])
     assert out["a"].to_pylist() == ["1", "3"]

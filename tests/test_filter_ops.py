@@ -1,8 +1,10 @@
 """Filter operator tests: result correctness (DuckDB oracle) + accounting."""
+import pandas as pd
 import pytest
 
 from repro.core import filter_ops
 from repro.core.runner import Runner
+from repro.core.tables import write_table
 from repro.oracle import assert_equivalent
 
 
@@ -101,3 +103,14 @@ def test_runtime_model_prefers_s3_side(spark, store, filter_table):
     ).project(f)
     assert server.runtime_s / s3.runtime_s > 3.0
     assert s3.cost.total > server.cost.total  # paper: s3-side costs more
+
+
+def test_index_filter_fetches_a_row_whose_string_holds_a_newline(fresh_store):
+    """A quoted newline is inside its row's byte range, not a row boundary."""
+    pdf = pd.DataFrame({"u": [0.1, 0.5, 0.9], "s": ["a", "two\nlines", "c"]})
+    t = write_table(fresh_store, "t", pdf, n_partitions=2, index_columns=("u",))
+    r = filter_ops.s3_index_filter(None, Runner(fresh_store), t, "u", ">", 0.3)
+    pd.testing.assert_frame_equal(
+        r.df.reset_index(drop=True), pdf[pdf["u"] > 0.3].reset_index(drop=True)
+    )
+    assert r.usage.get_requests == 2

@@ -133,12 +133,20 @@ def test_only_tables_writes_a_limit_into_s3_select_text():
 
 def test_only_csvio_renders_csv_text_in_s3sim():
     """``bytes_returned`` is counted from result columns (``csvio.csv_size``);
-    ``to_csv_bytes`` is left as the tests' reference and the table writer's encoder."""
+    ``to_csv_bytes`` is left only as the tests' reference."""
     found = sorted(
         p.name for p in Path(csvio.__file__).parent.glob("*.py")
         if p.name != "csvio.py" and _calls(ast.parse(p.read_text()), "to_csv_bytes")
     )
     assert found == []
+
+
+def test_tables_land_through_the_one_encoder():
+    """Landing renders each object's cells once (``csvio.render``/``encode``),
+    never through pandas' ``to_csv``."""
+    tree = _core_sources()["tables.py"]
+    assert not _calls(tree, "to_csv") and not _calls(tree, "to_csv_bytes")
+    assert _calls(tree, "encode")
 
 
 def test_index_filter_sends_no_get_per_row():

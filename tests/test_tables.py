@@ -115,12 +115,9 @@ def test_manifest_column_statistics(fresh_store):
     assert len(set(pdf["k"])) > T.DOMAIN_CAP
 
 
-@pytest.mark.parametrize("n_partitions,block_bytes", [(2, 64), (50, 1 << 18)])
-def test_column_statistics_over_blocks_and_empty_objects(
-    fresh_store, monkeypatch, n_partitions, block_bytes
-):
-    """Objects read in many blocks, or with no rows at all, add up to the frame's statistics."""
-    monkeypatch.setattr(T, "STATS_BLOCK_BYTES", block_bytes)
+@pytest.mark.parametrize("n_partitions", [2, 50])
+def test_column_statistics_over_objects_and_empty_objects(fresh_store, n_partitions):
+    """Objects, some with no rows at all, add up to the frame's statistics."""
     pdf = pd.DataFrame({"k": range(40), "flag": ["R", "A", ""] * 13 + ["N"]})
     t = T.write_table(fresh_store, "t", pdf, n_partitions=n_partitions)
     assert t.widths == {c: t.pdf[c].astype(str).str.len().mean() for c in t.pdf.columns}
