@@ -34,6 +34,7 @@ false positives are eliminated and results stay exact; only
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 import pyspark.sql.functions as F
 
 from repro.core.bloom import fit_fpr_to_limit
@@ -138,7 +139,8 @@ def bloom_probe(
     """
     if len(build_keys) == 0:  # no row can match
         with runner.phase(name, n_objects=len(table.keys)):
-            return apply_schema(pd.DataFrame(columns=columns), table.schema_ddl)
+            empty = pa.table({c: pa.array([], pa.string()) for c in columns})
+            return apply_schema(empty, table.schema_ddl)
     bloom = fit_fpr_to_limit(build_keys, fpr, key_column, _SQL_BUDGET, seed=seed)
     if bloom is None:
         return runner.scan(f"{name}-degraded", table, columns, where)

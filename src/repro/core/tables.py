@@ -38,7 +38,7 @@ from repro import synth_data
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.select_engine import select_results
 from repro.s3sim.store import ObjectStore
-from repro.schema import apply_schema, parse_ddl, typed_column
+from repro.schema import apply_schema, parse_ddl, typed_array
 
 # A column with at most this many distinct non-NULL values has them
 # listed in the manifest (``StoredTable.domains``).
@@ -89,8 +89,8 @@ class StoredTable:
 
 
 def normalize(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Dates -> ISO strings (NaT -> NaN); everything else passes through."""
-    out = pdf.copy()
+    """Dates -> ISO strings (NaT -> NaN) in a shallow copy; ``pdf`` is unchanged."""
+    out = pdf.copy(deep=False)
     for c in out.columns:
         if pd.api.types.is_datetime64_any_dtype(out[c]):
             dates = out[c].to_numpy()
@@ -182,10 +182,15 @@ def _column_stats(stats: dict, ddl: str, n_rows: int) -> tuple[dict, dict]:
         width, domain = stats[name]
         widths[name] = width / max(1, n_rows)
         if domain is not None:
-            domains[name] = sorted(typed_column(
-                pd.Series(list(domain), dtype=object), sql_type
-            ).tolist())
+            domains[name] = sorted(typed_array(
+                pa.array(list(domain), pa.string()), sql_type
+            ).to_pylist())
     return widths, domains
+
+
+class UnquotedCellError(ValueError):
+    """A text cell holds a ``\\r``: pandas' CSV leaves it unquoted (quoting it
+    would change the bytes), and the decoder would read it as a row end."""
 
 
 def write_table(
@@ -201,8 +206,14 @@ def write_table(
 
     Each object's columns are rendered once (``csvio.render``); its CSV
     bytes, its rows' byte ranges for the index objects, and the
-    manifest's statistics all come from those cells.
+    manifest's statistics all come from those cells. A text cell holding
+    a ``\\r`` raises :class:`UnquotedCellError` before anything is written.
     """
+    for c in pdf.columns:  # before any object is written
+        if pdf[c].dtype.kind == "O" and pc.any(
+            pc.match_substring(csvio.render(pdf[c]), "\r")
+        ).as_py():
+            raise UnquotedCellError(f"table {name!r}: column {c!r} holds a carriage return")
     pdf = normalize(pdf)
     ddl = schema_ddl(pdf)
     chunks = np.array_split(np.arange(len(pdf)), n_partitions)

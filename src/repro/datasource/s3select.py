@@ -10,7 +10,11 @@ plans a scan whose reader gets the ``l_discount <= 0.07`` predicate via
 :meth:`DataSourceReader.pushFilters`; we translate it into an S3 Select
 WHERE clause that runs storage-side, and give back to Spark whatever the
 dialect cannot express. One Spark input partition maps to one S3 object,
-mirroring PushdownDB's process-per-partition parallel loads.
+mirroring PushdownDB's process-per-partition parallel loads. Each
+object's request goes through ``select_results``, the driver's request
+path, and its result columns are typed by the table's DDL
+(``repro.schema.typed_array``) and handed to Spark as one
+``pyarrow.RecordBatch``.
 
 The WHERE clause is always Catalyst's: S3 Select text an operator
 writes itself (a Bloom probe, a ``NOT IN`` tail) is sent by the driver
@@ -47,13 +51,16 @@ import json
 import os
 import zipimport
 
+import pyarrow as pa
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import DoubleType, FloatType, IntegerType, LongType, StructType
 
 from repro.datasource.translate import split_filters
-from repro.s3sim.select_engine import s3_select
+from repro.s3sim import csvio
+from repro.s3sim.select_engine import select_results
 from repro.s3sim.store import ObjectStore
-from repro.schema import project_ddl, spark_values
+from repro.schema import project_ddl, typed_array
 
 _NUMERIC_TYPES = (LongType, IntegerType, DoubleType, FloatType)
 _OPTIONS = ("root", "table", "columns", "pushdown", "format")
@@ -103,7 +110,6 @@ class S3SelectReader(DataSourceReader):
             for f in schema.fields
             if isinstance(f.dataType, _NUMERIC_TYPES)
         }
-        self.types = [(f.name, f.dataType.simpleString()) for f in schema.fields]
         self.pushed_sql: list[str] = []
 
     # -- Catalyst integration --------------------------------------------
@@ -139,20 +145,20 @@ class S3SelectReader(DataSourceReader):
             # Baseline path ("PushdownDB without S3 Select"): a plain GET
             # ships the whole object; billing is requests + transfer, not
             # S3 Select scan/return. Projection/filtering happen in Spark.
-            from repro.s3sim import csvio
-
             names = [f.name for f in self.schema.fields]
-            data = store.get(partition.value)
-            result = csvio.from_csv_bytes(data, select=names).select(names).to_pandas()
+            columns = csvio.from_csv_bytes(store.get(partition.value), select=names)
         else:
-            result = s3_select(
-                store, partition.value, self._sql(), input_format=self.fmt
-            )
-        if len(result) == 0:
-            return
-        yield from zip(*(
-            spark_values(result[name], typ) for name, typ in self.types
-        ))
+            columns = select_results(store, [partition.value], self._sql(), self.fmt)[0].columns
+        schema = to_arrow_schema(self.schema)
+        batch = pa.RecordBatch.from_arrays(
+            [  # an INT or FLOAT field is narrower than its typed array
+                typed_array(columns[f.name], f.dataType.simpleString()).cast(a.type)
+                for f, a in zip(self.schema.fields, schema)
+            ],
+            schema=schema,
+        )
+        if batch.num_rows:
+            yield batch
 
 
 def ensure_registered(spark) -> None:

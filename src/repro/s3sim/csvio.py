@@ -13,9 +13,9 @@ are ``""``, and ``NA``/``null``/``NaN`` tokens, leading zeros and
 surrounding spaces stay as written. It is the only decoder; full objects,
 ranged-GET rows and the DataSource all go through it. The S3 Select
 evaluator works on the Arrow table directly, and so do the index
-filter's row fetch (``parse_rows``) and ``core.tables``, which type the
-strings by the table's DDL before they become pandas; the DataSource's
-plain GET calls ``to_pandas()``, which gives all-``str`` object columns.
+filter's row fetch (``parse_rows``), ``core.tables`` and the
+DataSource's plain GET, which type the strings by the table's DDL
+(``repro.schema.typed_array``) into Arrow arrays.
 
 Objects are encoded in one columnar pass: each column is rendered once
 as an Arrow string array of cells (``render``), and ``encode`` joins

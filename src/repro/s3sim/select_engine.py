@@ -19,16 +19,17 @@ The 256 KB SQL expression limit of the real service is enforced; the
 paper's Bloom join relies on detecting this limit to degrade its false
 positive rate (SV-A.2).
 
-``select_results(store, keys, sql)`` is how the driver sends requests
-itself: the same query on each object of a table, as one batch. The SQL
-is checked and parsed once, each object is decoded on its own, and the
-decoded objects are evaluated together, each request answering what it
-would alone; nothing is kept between batches. Its results stay Arrow and
-numpy columns (``sql_eval.Result``) for callers that type them
-themselves (``core.tables.select_table``). ``s3_select`` is a batch of
-one, which is how Spark's workers reach it through the ``s3select``
-DataSource; ``select_all`` gives a batch's pandas frames, the form the
-tests compare a batch against one request at a time.
+``select_results(store, keys, sql)`` is the one request path: the same
+query on each object of a table, as one batch. The SQL is checked and
+parsed once, each object is decoded on its own, and the decoded objects
+are evaluated together, each request answering what it would alone;
+nothing is kept between batches. Its results stay Arrow and numpy
+columns (``sql_eval.Result``), which its callers type by the table's
+DDL: the driver's ``core.tables.select_table`` into a frame, and Spark's
+workers, through the ``s3select`` DataSource, into an Arrow batch of
+one object. ``s3_select`` is a batch of one as a pandas frame, and
+``select_all`` a batch's frames: the forms the tests compare a batch
+against one request at a time.
 """
 from __future__ import annotations
 

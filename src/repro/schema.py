@@ -1,23 +1,26 @@
 """Table schemas as Spark DDL text, and the one rule that types CSV rows.
 
 ``core.tables`` stores each table's schema as DDL (``"k BIGINT, v DOUBLE,
-s STRING"``). CSV objects hold only strings, so every compute-side reader
--- the ``s3select`` DataSource and the driver's direct S3 Select calls --
-types the rows it receives with :func:`typed_column`, one column at a
-time, or :func:`apply_schema`, a whole frame:
+s STRING"``). S3 Select returns only untyped CSV cells, so every
+compute-side reader types the columns it receives by the table's DDL
+with :func:`typed_array`, one Arrow array per column:
 
-* ``BIGINT``/``INT``    -> ``int64``; ``float64`` if a cell is NULL
-* ``DOUBLE``/``FLOAT``  -> ``float64`` (also when the column is empty)
-* anything else        -> ``str`` (an ``object`` column); an empty cell,
-  or a NULL one from Parquet, is NULL (``None``)
+* ``BIGINT``/``INT``    -> ``int64``
+* ``DOUBLE``/``FLOAT``  -> ``float64``
+* anything else        -> ``string``
 
-An empty or non-numeric cell of a numeric column is NULL: NaN in the
-frame, ``None`` in the rows the DataSource yields (:func:`spark_values`).
-S3 Select reads an empty cell as NULL too, so a filter gives the same
-rows whether it runs in S3 Select or in Spark.
-These are the dtypes ``DataFrame.toPandas()`` returns for the same table.
-Numeric cells are read by S3 Select's own coercion
-(``s3sim.sql_eval.cells_to_numbers``, which follows ``pandas.to_numeric``).
+An empty or non-numeric cell of a numeric column is NULL, and so is an
+empty cell of a STRING column, or a NULL one from Parquet. S3 Select
+reads an empty cell as NULL too, so a filter gives the same rows whether
+it runs in S3 Select or in Spark. Numeric cells are read by S3 Select's
+own coercion (``s3sim.sql_eval.cells_to_numbers``, which follows
+``pandas.to_numeric``).
+
+The ``s3select`` DataSource hands these arrays to Spark as one Arrow
+batch; the driver's frames are their ``to_pandas()`` (:func:`apply_schema`),
+which gives the dtypes ``DataFrame.toPandas()`` returns for the same
+table: a BIGINT column with a NULL becomes ``float64`` (NaN), and a NULL
+string is ``None``.
 This module imports neither ``core`` nor ``datasource``, so both use it.
 """
 from __future__ import annotations
@@ -51,61 +54,34 @@ def project_ddl(ddl: str, columns: list) -> str:
     return ", ".join(" ".join(fields[c.lower()]) for c in columns)
 
 
-def typed_column(s, sql_type: str) -> pd.Series:
-    """One all-string column as the DDL type ``sql_type`` (case-insensitive).
+def typed_array(values, sql_type: str) -> pa.Array:
+    """One column's values as an Arrow array of the DDL type ``sql_type`` (case-insensitive).
 
-    ``s`` is a pandas Series or pyarrow strings (``core.tables``' results,
-    typed before they become pandas).
+    ``values`` are CSV cells (Arrow strings, an empty cell being NULL) or
+    Parquet's typed values (a numpy vector of numbers, NaN being NULL, or
+    Arrow strings with NULLs), as ``sql_eval.Result`` holds them.
     """
     t = sql_type.upper()
-    if not isinstance(s, pd.Series):
-        return pd.Series(_typed_cells(s, t))
-    if s.dtype != object and t in _INTEGRAL + _FRACTIONAL:
-        # Parquet's numeric columns arrive typed.
-        return pd.Series(_typed_numbers(s.to_numpy(), t), index=s.index, name=s.name)
-    if s.dtype != object:
-        s = s.astype(str).where(s.notna(), None)
-    cells = pa.array(s, type=pa.string(), from_pandas=True)
-    return pd.Series(_typed_cells(cells, t), index=s.index, name=s.name)
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    elif isinstance(values, pa.Array) and values.offset:
+        values = pa.concat_arrays([values])  # pyarrow 16's if_else mangles sliced strings
+    if t not in _INTEGRAL + _FRACTIONAL:
+        return pc.if_else(pc.equal(values, ""), pa.scalar(None, pa.string()), values)
+    numbers = values if isinstance(values, np.ndarray) else cells_to_numbers(values)
+    null = np.isnan(numbers)
+    if t in _FRACTIONAL:
+        return pa.array(numbers.astype(np.float64, copy=False), mask=null)
+    return pa.array(np.where(null, 0, numbers).astype(np.int64), mask=null)
 
 
-def _typed_numbers(n: np.ndarray, t: str) -> np.ndarray:
-    """Numbers as int64 for an integral type without NULLs, else float64."""
-    return n.astype("int64" if t in _INTEGRAL and not np.isnan(n).any() else "float64")
+def apply_schema(table: pa.Table, ddl: str) -> pd.DataFrame:
+    """An all-string table (CSV rows) as a pandas frame of the DDL's types.
 
-
-def _typed_cells(cells, t: str) -> np.ndarray:
-    """Arrow strings (NULL or empty cells are NULL) as the type ``t``, as numpy.
-
-    Numbers are read by S3 Select's coercion; text is an ``object`` array
-    with NULL as ``None``.
-    """
-    if isinstance(cells, pa.ChunkedArray):
-        cells = pa.concat_arrays(cells.chunks)
-    if t in _INTEGRAL + _FRACTIONAL:
-        return _typed_numbers(cells_to_numbers(cells), t)
-    text = cells.to_numpy(zero_copy_only=False)  # object, NULL as None
-    text[pc.fill_null(pc.equal(cells, ""), False).to_numpy(zero_copy_only=False)] = None
-    return text
-
-
-def spark_values(s: pd.Series, sql_type: str) -> list:
-    """``typed_column(s, sql_type)`` as the Python values of Spark rows (NULL is None)."""
-    col = typed_column(s, sql_type)
-    if col.dtype != "float64" or not col.isna().any():
-        return col.tolist()
-    num = int if sql_type.upper() in _INTEGRAL else float
-    return [None if np.isnan(v) else num(v) for v in col.tolist()]
-
-
-def apply_schema(frame, ddl: str) -> pd.DataFrame:
-    """Convert an all-string frame (CSV rows) to the DDL's types.
-
-    ``frame`` is a pandas frame or a ``pyarrow.Table`` of strings.
+    A column the DDL does not name is a STRING.
     """
     types = parse_ddl(ddl)
-    names = frame.column_names if isinstance(frame, pa.Table) else frame.columns
-    return pd.DataFrame({
-        c: typed_column(frame[c], types.get(c.lower(), (c, "STRING"))[1])
-        for c in names
-    })
+    return pa.table({
+        c: typed_array(table[c], types.get(c.lower(), (c, "STRING"))[1])
+        for c in table.column_names
+    }).to_pandas()

@@ -5,8 +5,12 @@ import sys
 import zipfile
 import zipimport
 
+import pyarrow as pa
 import pytest
-from pyspark.sql.types import StructType
+from pyspark.sql.pandas.types import to_arrow_schema
+from pyspark.sql.types import (
+    DoubleType, FloatType, IntegerType, LongType, StringType, StructField, StructType,
+)
 
 from repro.core.tables import write_table
 from repro.datasource import s3select
@@ -172,6 +176,57 @@ def test_empty_string_cells_are_null_on_both_paths(spark, empty_cells_store, pre
     in_spark = read_table(spark, root, "e", pushdown=False).filter(pred).toPandas()
     assert sorted(pushed["k"]) == sorted(in_spark["k"])
     assert pushed.sort_values("k").equals(in_spark.sort_values("k"))
+
+
+# -- the reader on its own, without Spark -----------------------------------
+
+_NULLABLE = StructType([
+    StructField("k", LongType()), StructField("v", DoubleType()),
+    StructField("s", StringType()),
+])
+
+
+@pytest.mark.parametrize(
+    "options", [{}, {"pushdown": "false"}, {"format": "parquet"}],
+    ids=["csv-select", "csv-plain-get", "parquet-select"],
+)
+def test_reader_yields_one_typed_arrow_batch_per_object(fresh_store, options):
+    """Each object's rows reach Spark as one Arrow batch of Spark's schema,
+    an empty or NULL cell being null in every column type; an object with
+    no rows yields nothing."""
+    import numpy as np
+    import pandas as pd
+
+    pdf = pd.DataFrame({
+        "k": pd.array([1, None, 3, 4], dtype="Int64"),
+        "v": [0.5, None, 2.5, np.nan],
+        "s": ["a", "", None, "d"],
+    })
+    write_table(fresh_store, "n", pdf, n_partitions=5, parquet=True)
+    ds = S3SelectDataSource({"root": str(fresh_store.root), "table": "n", **options})
+    assert ds.schema() == "k BIGINT, v DOUBLE, s STRING"
+    reader = ds.reader(_NULLABLE)
+    per_object = [list(reader.read(p)) for p in reader.partitions()]
+    assert [len(batches) for batches in per_object] == [1, 1, 1, 1, 0]
+    batches = [b for batches in per_object for b in batches]
+    for batch in batches:
+        assert isinstance(batch, pa.RecordBatch)
+        assert batch.schema == to_arrow_schema(_NULLABLE)
+    assert pa.Table.from_batches(batches).to_pydict() == {
+        "k": [1, None, 3, 4], "v": [0.5, None, 2.5, None], "s": ["a", None, None, "d"],
+    }
+
+
+def test_reader_narrows_to_an_int_or_float_schema(fresh_store):
+    """A schema given with INT or FLOAT fields gets batches of those widths."""
+    import pandas as pd
+
+    write_table(fresh_store, "n", pd.DataFrame({"k": [1, 2], "v": [0.5, 1.5]}), n_partitions=1)
+    schema = StructType([StructField("k", IntegerType()), StructField("v", FloatType())])
+    reader = S3SelectDataSource({"root": str(fresh_store.root), "table": "n"}).reader(schema)
+    [batch] = reader.read(reader.partitions()[0])
+    assert batch.schema == to_arrow_schema(schema)
+    assert batch.to_pydict() == {"k": [1, 2], "v": [0.5, 1.5]}
 
 
 # -- zip directories on importlib.invalidate_caches() ----------------------

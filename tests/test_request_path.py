@@ -2,8 +2,8 @@
 
 The rule: if an operator writes the S3 Select text itself -- an
 aggregate, a Bloom build or probe, a ``NOT IN`` tail, a filtered scan
-whose row count it needs -- the driver sends it
-(``select_all``/``select_table``) and finishes the plan on the frames it
+whose row count it needs -- the driver sends it (``select_results``,
+through ``select_table``) and finishes the plan on the frames it
 receives, in pandas. Those plans get ``None`` for their ``spark``
 argument here, so any call into Spark fails. Only Catalyst-planned scans
 call ``read_table``: a filter pushed through ``pushFilters``, such as
@@ -164,3 +164,16 @@ def test_index_filter_sends_no_get_per_row():
     ]
     assert per_row == []
     assert _calls(tree, "get_ranges")
+
+
+def test_datasource_reads_through_select_results_without_pandas():
+    """Spark's workers send the driver's request function and hand Spark
+    the Arrow columns it returns: no pandas frame on the way."""
+    tree = ast.parse(Path(s3select.__file__).read_text())
+    [reader] = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.ClassDef) and n.name == "S3SelectReader"
+    ]
+    [read] = [n for n in reader.body if isinstance(n, ast.FunctionDef) and n.name == "read"]
+    assert _calls(read, "select_results")
+    assert not _calls(read, "s3_select") and not _calls(read, "to_pandas")

@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core import tables as T
 from repro.s3sim import csvio
+from repro.schema import typed_array
 
 
 @pytest.fixture()
@@ -38,11 +41,49 @@ def test_schema_ddl_types(pdf):
 def test_apply_schema_roundtrip(pdf):
     norm = T.normalize(pdf)
     ddl = T.schema_ddl(norm)
-    stringly = csvio.from_csv_bytes(csvio.to_csv_bytes(norm)).to_pandas()
+    stringly = csvio.from_csv_bytes(csvio.to_csv_bytes(norm))
     typed = T.apply_schema(stringly, ddl)
     assert typed["k"].dtype == "int64"
     assert typed["v"].dtype == "float64"
     assert (typed["v"] == norm["v"]).all()
+
+
+def test_typed_array_of_sliced_cells():
+    """A batch's results are slices of its arrays (``select_table``'s chunks)."""
+    cells = pa.array(["9", "1", "", "2.5", "x", "s"]).slice(1, 4)
+    assert typed_array(cells, "DOUBLE").to_pylist() == [1.0, None, 2.5, None]
+    assert typed_array(cells, "STRING").to_pylist() == ["1", None, "2.5", "x"]
+    assert typed_array(cells.slice(0, 1), "BIGINT").to_pylist() == [1]
+
+
+def test_normalize_replaces_only_the_date_columns(pdf):
+    before = pdf.copy()
+    out = T.normalize(pdf)
+    pd.testing.assert_frame_equal(pdf, before)  # the caller's frame is unchanged
+    for c in ("k", "v", "s"):
+        assert np.shares_memory(out[c].to_numpy(), pdf[c].to_numpy())
+
+
+def test_write_table_lands_the_normalized_frame(fresh_store, pdf):
+    before = pdf.copy()
+    t = T.write_table(fresh_store, "t", pdf, n_partitions=3)
+    pd.testing.assert_frame_equal(pdf, before)
+    norm = before.assign(d=before["d"].dt.strftime("%Y-%m-%d"))
+    parts = np.array_split(np.arange(len(norm)), 3)
+    assert [fresh_store.storage_read(k) for k in t.keys] == [
+        csvio.to_csv_bytes(norm.iloc[idx]) for idx in parts
+    ]
+
+
+def test_write_table_rejects_a_carriage_return_before_writing(fresh_store):
+    """The decoder reads a bare ``\\r`` as a row end; such a frame lands nothing."""
+    pdf = pd.DataFrame({"a": ["x\ry", "b"], "k": [1, 2]})
+    with pytest.raises(T.UnquotedCellError, match="column 'a'"):
+        T.write_table(fresh_store, "cr", pdf, n_partitions=2,
+                      index_columns=("a",), parquet=True)
+    assert fresh_store.list_keys() == []
+    assert not (fresh_store.root / "meta").exists()
+    assert fresh_store.log.path.read_bytes() == b""
 
 
 def test_write_table_partitions(fresh_store, pdf):
