@@ -38,7 +38,8 @@ from repro import synth_data
 from repro.s3sim import csvio, parquetio
 from repro.s3sim.select_engine import select_results
 from repro.s3sim.store import ObjectStore
-from repro.schema import apply_schema, parse_ddl, typed_array
+from repro.ddl import parse_ddl
+from repro.schema import apply_schema, typed_array
 
 # A column with at most this many distinct non-NULL values has them
 # listed in the manifest (``StoredTable.domains``).
@@ -80,7 +81,7 @@ class StoredTable:
         if self._pdf is None:
             self._pdf = apply_schema(
                 pa.concat_tables(
-                    csvio.from_csv_bytes(self._store.storage_read(k))
+                    csvio.from_csv_bytes(self._store.storage_read(k), key=k)
                     for k in self.keys
                 ),
                 self.schema_ddl,

@@ -51,16 +51,12 @@ import json
 import os
 import zipimport
 
-import pyarrow as pa
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
-from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import DoubleType, FloatType, IntegerType, LongType, StructType
 
 from repro.datasource.translate import split_filters
-from repro.s3sim import csvio
-from repro.s3sim.select_engine import select_results
+from repro.ddl import project_ddl
 from repro.s3sim.store import ObjectStore
-from repro.schema import project_ddl, typed_array
 
 _NUMERIC_TYPES = (LongType, IntegerType, DoubleType, FloatType)
 _OPTIONS = ("root", "table", "columns", "pushdown", "format")
@@ -140,15 +136,24 @@ class S3SelectReader(DataSourceReader):
         return f"SELECT {cols} FROM S3Object{where}"
 
     def read(self, partition: InputPartition):
-        store = ObjectStore(self.root)
+        # The request path and Arrow load here, in the worker that reads:
+        # the planner's calls above need neither pandas nor pyarrow.
+        import pyarrow as pa
+        from pyspark.sql.pandas.types import to_arrow_schema
+
+        from repro.s3sim import csvio
+        from repro.s3sim.select_engine import select_results
+        from repro.schema import typed_array
+
+        store, key = ObjectStore(self.root), partition.value
         if not self.pushdown_enabled and self.fmt == "csv":
             # Baseline path ("PushdownDB without S3 Select"): a plain GET
             # ships the whole object; billing is requests + transfer, not
             # S3 Select scan/return. Projection/filtering happen in Spark.
             names = [f.name for f in self.schema.fields]
-            columns = csvio.from_csv_bytes(store.get(partition.value), select=names)
+            columns = csvio.from_csv_bytes(store.get(key), select=names, key=key)
         else:
-            columns = select_results(store, [partition.value], self._sql(), self.fmt)[0].columns
+            columns = select_results(store, [key], self._sql(), self.fmt)[0].columns
         schema = to_arrow_schema(self.schema)
         batch = pa.RecordBatch.from_arrays(
             [  # an INT or FLOAT field is narrower than its typed array

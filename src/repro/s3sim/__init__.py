@@ -18,11 +18,15 @@ Modules:
     sql_eval       -- vectorized evaluator over Arrow columns
     select_engine  -- ties it together: run one S3 Select request
 """
+import importlib
+
+from repro.s3sim.errors import S3SelectError
 from repro.s3sim.store import ObjectStore
 from repro.s3sim.usage import Usage, UsageLog
-from repro.s3sim.select_engine import (
-    s3_select, select_all, select_results, S3SelectError, MAX_SQL_BYTES,
-)
+
+# Loaded on first use: the request path imports pandas and pyarrow, which
+# a caller that only opens the store (the DataSource's planner) never needs.
+_SELECT_ENGINE = ("s3_select", "select_all", "select_results", "MAX_SQL_BYTES")
 
 __all__ = [
     "ObjectStore",
@@ -34,3 +38,9 @@ __all__ = [
     "S3SelectError",
     "MAX_SQL_BYTES",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SELECT_ENGINE:
+        return getattr(importlib.import_module("repro.s3sim.select_engine"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

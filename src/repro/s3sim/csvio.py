@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 import pandas as pd
@@ -36,8 +37,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyarrow import csv as pacsv
 
+from repro.s3sim.errors import MalformedCSVError
+
 # Quoted fields may hold newlines (``to_csv_bytes`` writes them as-is).
 _PARSE = pacsv.ParseOptions(newlines_in_values=True)
+
+# How Arrow names a row of the wrong width ("Row #3: Expected 2 columns,
+# got 1: ..."); it counts the header as row 1.
+_WIDTH_ERROR = re.compile(r"Row #(\d+): (Expected \d+ columns, got \d+)")
 
 # The bytes that make ``to_csv_bytes`` quote a cell: the delimiter, the
 # quote and the row terminator (CPython 3.11's ``csv`` writer, which
@@ -228,11 +235,19 @@ def _options(data: bytes, header: bool, columns, select):
     return read, convert
 
 
+def _open_quote_row(data: bytes, header: bool) -> int:
+    """The data row of ``data``'s last quote, which an odd count of quotes leaves open."""
+    b = np.frombuffer(data, dtype=np.uint8)[: data.rindex(b'"')]
+    quoted = np.cumsum(b == ord('"')) % 2 == 1
+    return int(np.count_nonzero((b == ord("\n")) & ~quoted)) + 1 - header
+
+
 def from_csv_bytes(
     data: bytes,
     header: bool = True,
     columns: list[str] | None = None,
     select: list[str] | None = None,
+    key: str | None = None,
 ) -> pa.Table:
     """Parse CSV bytes into an all-string Arrow table.
 
@@ -247,14 +262,29 @@ def from_csv_bytes(
     evaluator's lookups): the rest are parsed but never materialized.
     If ``select`` is empty or names a column the data lacks, every
     column is kept.
+
+    Malformed text raises ``MalformedCSVError`` naming ``key`` (the
+    object's) and the bad row: a row with fewer or more cells than the
+    header, or an unterminated quote, which Arrow would read as a cell
+    running to the end of the data. Quotes pair up in well-formed text
+    (an escaped quote is doubled), so an odd count of them is the check;
+    text without a quote is not scanned for it.
     """
+    if b'"' in data and data.count(b'"') % 2:
+        raise MalformedCSVError(key, _open_quote_row(data, header), "unterminated quote")
     read, convert = _options(data, header, columns, select)
-    return pacsv.read_csv(
-        io.BytesIO(data),
-        read_options=read,
-        parse_options=_PARSE,
-        convert_options=convert,
-    )
+    try:
+        return pacsv.read_csv(
+            io.BytesIO(data),
+            read_options=read,
+            parse_options=_PARSE,
+            convert_options=convert,
+        )
+    except pa.ArrowInvalid as e:
+        width = _WIDTH_ERROR.search(str(e))
+        if width is None:
+            raise
+        raise MalformedCSVError(key, int(width[1]) - header, width[2].lower()) from None
 
 
 def head(data: bytes, n: int) -> tuple[bytes, int] | None:

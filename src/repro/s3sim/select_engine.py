@@ -39,16 +39,13 @@ import pandas as pd
 import pyarrow as pa
 
 from repro.s3sim import csvio, parquetio
+from repro.s3sim.errors import S3SelectError
 from repro.s3sim.sql_ast import Query, contains_aggregate, referenced_columns
 from repro.s3sim.sql_eval import Result, eval_query
 from repro.s3sim.sql_parser import parse
 from repro.s3sim.store import ObjectStore
 
 MAX_SQL_BYTES = 256 * 1024  # documented S3 Select SQL expression limit
-
-
-class S3SelectError(ValueError):
-    """Request rejected by the (simulated) S3 Select service."""
 
 
 def _csv_scanned_bytes(query: Query, data: bytes, n_rows: int) -> int:
@@ -132,7 +129,9 @@ def select_results(
         data = store.storage_read(key)
         if input_format == "csv":
             head = csvio.head(data, query.limit) if prefix_only else None
-            table = csvio.from_csv_bytes(data if head is None else head[0], select=cols)
+            table = csvio.from_csv_bytes(
+                data if head is None else head[0], select=cols, key=key
+            )
             n_rows = table.num_rows if head is None else head[1]
             scanned.append(_csv_scanned_bytes(query, data, n_rows))
         else:

@@ -1,8 +1,8 @@
 """Vectorized evaluator for the S3 Select SQL subset, over Arrow columns.
 
-Evaluates a parsed :class:`~repro.s3sim.sql_ast.Query` against one
-object's rows, a ``pyarrow.Table`` (a pandas frame is converted on
-entry). CSV objects arrive as all-``string`` tables (see ``csvio``):
+Evaluates a parsed :class:`~repro.s3sim.sql_ast.Query` against a batch
+of objects' rows, a ``pyarrow.Table`` with the objects' row bounds
+(``eval_query``). CSV objects arrive as all-``string`` tables (see ``csvio``):
 values stay strings until a ``CAST`` or an implicit numeric coercion,
 mirroring S3 Select's handling of CSV fields. Only the result becomes a
 pandas frame.
@@ -64,10 +64,35 @@ other rows, with one exception: the int64-or-float64 choice of a
 numeric vector. Where an object alone would choose otherwise than the
 batch (say ``a + 1`` over ``['1', '2']`` in a batch with ``['3', '']``),
 the batch is evaluated again one object at a time.
+
+A WHERE that is an AND chain is decided one conjunct at a time, in the
+order the SQL gives them (``_where``). The first conjunct sees every
+row of the batch; each later one sees only the rows that every earlier
+one kept (``_Kept``): it reads the columns it references at those rows
+only, and a value an earlier conjunct computed is taken at those rows,
+not computed again. A row is kept where every conjunct is TRUE, which
+is what the chain's three-valued AND keeps. The projection or the
+aggregates then run on the kept rows. One rule types a numeric vector
+in a conjunct: the rows of its object, all of them, not the rows that
+earlier conjuncts kept -- so a conjunct decides a row as it would over
+the whole object, and as ``CASE WHEN`` over the same chain does
+(``tests/test_where_norec.py``). The projection types its vectors by
+the kept rows, as it always has: ``x = 9007199254740992`` over
+``['9007199254740993', 'abc']`` is TRUE for the first cell (``'abc'``
+makes ``x`` float64 over the object), while ``x + 0`` of the kept row
+is the int64 9007199254740993.
+
+The Bloom join's membership test, ``SUBSTRING('<bits>', pos, 1) =
+'1'`` (or ``!=``, with any one-character ASCII literal and an ASCII
+bit string), is a lookup in the literal's bytes at ``pos - 1``: TRUE or
+FALSE where ``pos`` is in range, NULL where it is NULL or out of range,
+as comparing the picked character (``''``, which is NULL, off the
+string) gives. No per-row string is built.
 """
 from __future__ import annotations
 
 import operator
+import weakref
 
 import numpy as np
 import pandas as pd
@@ -90,6 +115,9 @@ class _Ragged(Exception):
 
 
 _NULL_STRING = pa.scalar(None, pa.string())
+
+# An evaluator's memos, each keyed by AST node (see ``_Evaluator``).
+_MEMOS = ("_values", "_numbers", "_texts", "_masks", "_nulls", "_summands")
 
 # What ``pandas.to_numeric`` accepts once whitespace is trimmed.
 _NUMBER = r"^[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:nan|inf|infinity))$"
@@ -135,6 +163,14 @@ def _data(text: pa.Array) -> np.ndarray:
     if lo == hi:
         return np.empty(0, dtype=np.uint8)
     return np.frombuffer(text.buffers()[2], dtype=np.uint8)[lo:hi]
+
+
+def _cell_lengths(text: pa.Array) -> np.ndarray:
+    """Each cell's length in bytes, from a string array's offsets."""
+    if len(text) == 0:
+        return np.empty(0, dtype=np.int32)
+    offsets = np.frombuffer(text.buffers()[1], dtype=np.int32)
+    return np.diff(offsets[text.offset:text.offset + len(text) + 1])
 
 
 def _cast_numbers(text: pa.Array):
@@ -212,7 +248,9 @@ def _as_strings(v) -> pa.Array:
 
 
 def _nulled(text: pa.Array) -> pa.Array:
-    """A string array with ``''`` read as NULL."""
+    """A string array with ``''`` read as NULL (itself if no cell is ``''``)."""
+    if _cell_lengths(text).all():
+        return text
     return pc.if_else(pc.equal(text, ""), _NULL_STRING, text)
 
 
@@ -230,9 +268,22 @@ def _predicate(v, n: int) -> pa.Array:
     return pa.array(np.full(n, bool(v)))
 
 
+def _bits(buf: pa.Buffer, offset: int, n: int) -> np.ndarray:
+    """Bits ``offset:offset + n`` of an Arrow bitmap, as booleans."""
+    packed = np.frombuffer(buf, dtype=np.uint8)
+    return np.unpackbits(packed, count=offset + n, bitorder="little")[offset:].view(bool)
+
+
 def _mask(pred: pa.Array) -> np.ndarray:
-    """A predicate as a numpy mask, NULL = false."""
-    return pc.fill_null(pred, False).to_numpy(zero_copy_only=False)
+    """A predicate as a numpy mask, NULL = false: its value bits, unpacked, and its validity."""
+    n = len(pred)
+    if pred.null_count == n:
+        return np.zeros(n, dtype=bool)
+    validity, values = pred.buffers()
+    m = _bits(values, pred.offset, n)
+    if pred.null_count:
+        m &= _bits(validity, pred.offset, n)
+    return m
 
 
 def _round_half_away(n):
@@ -322,17 +373,66 @@ def _cut(v, lo: int, hi: int):
     return v
 
 
-def _ints_alone(text: pa.Array, x: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether cells ``lo:hi`` of ``text`` alone parse as int64; ``x`` is all of them parsed.
+def _take(v, rows: np.ndarray):
+    """A vector's values at ``rows``; a scalar is the value of every row."""
+    if isinstance(v, np.ndarray):
+        return v[rows]
+    if isinstance(v, pa.Array):
+        return v.take(rows)
+    return v
 
-    Only finite integers can (NaN is NULL). Those cells are parsed again,
-    copied out of the slice: pyarrow 16's ``if_else`` mangles sliced
-    string arrays.
+
+def _integral(x: np.ndarray) -> bool:
+    """Whether every value is a finite integer (so no NULL, NaN being NULL)."""
+    return bool(np.isfinite(x).all() and (x == np.trunc(x)).all())
+
+
+def _ints_alone(text: pa.Array, lo: int, hi: int) -> bool:
+    """Whether cells ``lo:hi`` of ``text`` alone parse as int64.
+
+    The cells are parsed again, copied out of the slice: pyarrow 16's
+    ``if_else`` mangles sliced string arrays.
     """
-    part = x[lo:hi]
-    if not (np.isfinite(part).all() and (part == np.trunc(part)).all()):
-        return False
     return _parse_numbers(pa.concat_arrays([text.slice(lo, hi - lo)])).dtype.kind == "i"
+
+
+def _int_cells(cells: pa.Array) -> bool:
+    """Whether every cell is 1 to 18 digits, so that the cells parse as int64.
+
+    A quick test that never parses: False says nothing.
+    """
+    if not pa.types.is_string(cells.type) or cells.null_count:
+        return False
+    lengths = _cell_lengths(cells)
+    if not ((lengths > 0) & (lengths <= 18)).all():
+        return False
+    data = _data(cells)
+    return bool(((data >= 48) & (data <= 57)).all())
+
+
+def _char_test(e: BinOp):
+    """``(s, c)`` if ``e`` is ``SUBSTRING(s, <pos>, 1) = c`` (or ``!=``) of ASCII literals.
+
+    The paper's Bloom probe tests its bits so: ``s`` is the filter's bit
+    string and ``c`` is ``'1'``.
+    """
+    sub, char = e.left, e.right
+    if (
+        e.op in ("=", "!=") and isinstance(sub, Substring) and sub.length == Literal(1)
+        and isinstance(sub.expr, Literal) and isinstance(sub.expr.value, str)
+        and isinstance(char, Literal) and isinstance(char.value, str)
+    ):
+        s, c = sub.expr.value, char.value
+        if s and len(c) == 1 and s.isascii() and c.isascii():
+            return s, c
+    return None
+
+
+def _conjuncts(e) -> list:
+    """The operands of an AND chain, in the order the SQL gives them."""
+    if isinstance(e, BinOp) and e.op == "AND":
+        return _conjuncts(e.left) + _conjuncts(e.right)
+    return [e]
 
 
 def _vector(col: pa.ChunkedArray):
@@ -371,6 +471,7 @@ class _Evaluator:
         self._texts: dict = {}    # node -> its string vector, '' as NULL
         self._masks: dict = {}    # predicate node -> its numpy mask
         self._nulls: dict = {}    # node -> where its value is NULL
+        self._summands: dict = {}  # node -> its numbers, NULL as 0, and where NULL
 
     def objects(self) -> list:
         """One evaluator per object of the batch, for its aggregates."""
@@ -393,6 +494,30 @@ class _Evaluator:
         ):
             raise _Ragged
 
+    def int_alone(self, x: np.ndarray, alone=None) -> bool:
+        """Whether some object's rows of the float64 ``x`` would be int64 alone.
+
+        They would where their values are all integers and ``alone(lo,
+        hi)``, if given, holds for them (rows ``lo:hi``).
+        """
+        return len(self.bounds) > 2 and any(
+            _integral(x[lo:hi]) and (alone is None or alone(lo, hi))
+            for lo, hi in _pairs(self.bounds) if hi > lo
+        )
+
+    def typed(self, e, x: np.ndarray, alone=None) -> np.ndarray:
+        """``x``, the numbers ``e`` takes over these rows, as each object's rows type them.
+
+        ``x`` was parsed from strings (``alone`` parses an object's cells
+        again), cast from a predicate, or is an integer ``%``: it is
+        float64 where some row is NULL or a fraction, else int64. Here
+        the rows are the objects' own, so ``x`` is as they type it,
+        unless an object alone would type it otherwise: ``_Ragged``.
+        """
+        if x.dtype.kind == "f" and self.int_alone(x, alone):
+            raise _Ragged
+        return x
+
     def col(self, name: str):
         actual = self.colmap.get(name.lower())
         if actual is None:
@@ -407,6 +532,8 @@ class _Evaluator:
     # -- expression dispatch ---------------------------------------------
 
     def eval(self, e):
+        if type(e) is Literal:
+            return e.value
         try:
             return self._values[e]
         except KeyError:
@@ -427,12 +554,10 @@ class _Evaluator:
         if isinstance(v, np.ndarray):
             out = v
         elif isinstance(v, pa.Array) and pa.types.is_boolean(v.type):
-            out = pc.cast(v, pa.int64()).to_numpy(zero_copy_only=False)
+            out = self.typed(e, pc.cast(v, pa.int64()).to_numpy(zero_copy_only=False))
         elif isinstance(v, pa.Array):
             text = self.text(e)
-            out = _parse_numbers(text)
-            if out.dtype.kind == "f":
-                self.check_alone(lambda lo, hi: _ints_alone(text, out, lo, hi))
+            out = self.typed(e, _parse_numbers(text), lambda lo, hi: _ints_alone(text, lo, hi))
         else:
             out = _scalar_number(v)
         self._numbers[e] = out
@@ -474,6 +599,27 @@ class _Evaluator:
         self._nulls[e] = out
         return out
 
+    def summands(self, e) -> tuple:
+        """``num(e)`` as a vector with NULL as 0, and where it is NULL (None: nowhere).
+
+        What SUM and AVG add up: memoized, so a batch's objects cut it
+        from one vector.
+        """
+        try:
+            return self._summands[e]
+        except KeyError:
+            pass
+        x = self.num(e)
+        if not isinstance(x, np.ndarray):
+            x = np.full(self.n, np.nan if x is None else x)
+        nulls = _nan_mask(x)
+        if nulls is not None and nulls.any():
+            x = np.where(nulls, 0.0, x)
+        else:
+            nulls = None
+        out = self._summands[e] = (x, nulls)
+        return out
+
     def _eval_literal(self, e: Literal):
         return e.value
 
@@ -492,12 +638,23 @@ class _Evaluator:
             return kleene(self.pred(e.left), self.pred(e.right))
         if e.op in _ARITH:
             a, b = self.num(e.left), self.num(e.right)
+            out = _arith(e.op, a, b)
             if e.op == "%" and isinstance(b, np.ndarray) and b.dtype.kind == "i" and (
                 isinstance(a, int) or isinstance(a, np.ndarray) and a.dtype.kind == "i"
             ):  # integer MOD 0 is NULL, which makes the result float64
-                zero = b == 0
-                self.check_alone(lambda lo, hi: zero.any() and not zero[lo:hi].any())
-            return _arith(e.op, a, b)
+                return self.typed(e, out)
+            return out
+        chars = _char_test(e)
+        if chars is not None and _is_vector(self.eval(e.left.start)):
+            # The Bloom probe's bit test, as a lookup in the literal's
+            # bytes: NULL where the position is NULL or out of range, as
+            # the picked character '' (``_picked_chars``) would compare.
+            s, c = chars
+            pos = self.num(e.left.start).astype(np.float64, copy=False)
+            valid = np.isfinite(pos) & (pos >= 1) & (pos <= len(s))
+            at = np.where(valid, pos - 1, 0).astype(np.int64)
+            hit = np.frombuffer(s.encode(), dtype=np.uint8)[at] == ord(c)
+            return pa.array(hit if e.op == "=" else ~hit, mask=~valid)
         # comparison: numeric if either side is numeric, else lexicographic
         left, right = self.eval(e.left), self.eval(e.right)
         py_op, arrow_op = _COMPARE[e.op]
@@ -652,15 +809,10 @@ class _Evaluator:
         if e.name == "COUNT":
             return self.n - pc.sum(rows.nulls(arg)).as_py() if self.n else 0
         if e.name in ("SUM", "AVG"):
-            n = rows.num(arg)
-            if not isinstance(n, np.ndarray):
-                n = np.full(self.n, np.nan if n is None else n)
-            nulls = _nan_mask(n)
-            count = len(n) if nulls is None else len(n) - int(nulls.sum())
+            n, nulls = rows.summands(arg)
+            count = len(n) if nulls is None else len(n) - int(np.count_nonzero(nulls))
             if count == 0:
                 return None  # SQL: SUM/AVG over no rows is NULL
-            if nulls is not None:
-                n = np.where(nulls, 0.0, n)
             if e.name == "SUM":
                 return float(n.sum())
             return float(n.sum(dtype=np.float64) / count)
@@ -677,6 +829,88 @@ class _Evaluator:
         if self.n == 0 or _is_null_scalar(v) or v == "":
             return None
         return v
+
+
+class _Carried(dict):
+    """One memo of a ``_Kept``: a node it lacks is taken from an earlier evaluator's memo."""
+
+    def __init__(self, ev: "_Kept", name: str):
+        super().__init__()
+        # A proxy, not a reference: a cycle would keep the batch's arrays
+        # alive until the garbage collector ran.
+        self.ev, self.name = weakref.proxy(ev), name
+
+    def __missing__(self, e):
+        v = self[e] = self.ev.carried(self.name, e)
+        return v
+
+
+class _Kept(_Evaluator):
+    """The rows of a batch that a WHERE's earlier conjuncts kept, for the later ones.
+
+    ``ev`` evaluated the conjunct that kept rows ``kept`` of its own;
+    ``base`` evaluates every row of the batch, and ``index`` holds the
+    kept rows' positions in it. Values are computed over the kept rows
+    only: a column is read at those rows when a conjunct references it,
+    and a node that an earlier evaluator computed is taken at those rows
+    (each computed array once, however many memos hold it). A numeric
+    vector is typed by each object's rows, not by its kept rows
+    (``typed``), so a conjunct decides a row as it would over the whole
+    object.
+    """
+
+    def __init__(self, ev: _Evaluator, kept: np.ndarray):
+        base = getattr(ev, "base", ev)
+        self.table, self.colmap, self._rows = base.table, base.colmap, None
+        self.base, self.earlier = base, ev
+        self.index = kept if ev is base else ev.index[kept]
+        self.n = len(self.index)
+        self.bounds = np.searchsorted(self.index, base.bounds).tolist()
+        self._taken: dict = {}  # id of an earlier evaluator's array -> it at these rows
+        for name in _MEMOS:
+            setattr(self, name, _Carried(self, name))
+
+    def at(self, v, ev: _Evaluator):
+        """``ev``'s value ``v`` at these rows."""
+        if not _is_vector(v):
+            return v
+        try:
+            return self._taken[id(v)][1]
+        except KeyError:
+            pass
+        rows = self.index if ev is self.base else np.searchsorted(ev.index, self.index)
+        out = _take(v, rows)
+        self._taken[id(v)] = (v, out)  # holding ``v`` keeps its id from being reused
+        return out
+
+    def carried(self, name: str, e):
+        """Memo ``name``'s value of ``e`` in the latest earlier evaluator that has it."""
+        ev = self.earlier
+        while not dict.__contains__(getattr(ev, name), e):
+            if ev is self.base:
+                raise KeyError(e)
+            ev = ev.earlier
+        return self.at(dict.__getitem__(getattr(ev, name), e), ev)
+
+    def _eval_column(self, e: Column):
+        return self.at(self.base.eval(e), self.base)
+
+    def typed(self, e, x: np.ndarray, alone=None) -> np.ndarray:
+        """``x`` in the dtype that ``base`` gives ``e``.
+
+        An object whose kept rows make ``x`` float64 has those rows, so
+        it is float64 too. Only kept rows that would be int64 need the
+        object's other rows: a column whose every cell is short digits
+        is int64 in every object, and anything else is typed by
+        ``base``, which evaluates ``e`` over every row and raises
+        ``_Ragged`` where objects differ.
+        """
+        if x.dtype.kind == "f":
+            if not self.int_alone(x, alone):
+                return x
+        elif isinstance(e, Column) and _int_cells(self.base.eval(e)):
+            return x
+        return x.astype(self.base.num(e).dtype, copy=False)
 
 
 class _Rows:
@@ -697,11 +931,8 @@ class _Rows:
     def nulls(self, e) -> pa.Array:
         return _cut(self.ev.nulls(e), self.lo, self.hi)
 
-
-def _table(df) -> pa.Table:
-    if isinstance(df, pa.Table):
-        return df
-    return pa.Table.from_pandas(df, preserve_index=False)
+    def summands(self, e) -> tuple:
+        return tuple(_cut(v, self.lo, self.hi) for v in self.ev.summands(e))
 
 
 def _check(query: Query) -> bool:
@@ -765,14 +996,32 @@ class Result:
         ], self.n)
 
 
+def _where(where, table: pa.Table, bounds: list) -> np.ndarray:
+    """The positions of the rows of the batch ``table`` that ``where`` keeps.
+
+    An AND chain is decided one conjunct at a time, in the order the SQL
+    gives them, each only on the rows that every earlier one kept
+    (``_Kept``): a row is kept where every conjunct is TRUE, as the
+    chain's three-valued AND would keep it.
+    """
+    ev = _Evaluator(table, bounds)
+    rows = None
+    for c in _conjuncts(where):
+        if rows is not None and len(kept) < ev.n:
+            ev = _Kept(ev, kept)
+        kept = np.flatnonzero(ev.mask(c))
+        rows = kept if rows is None else rows[kept]
+    return rows
+
+
 def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
     """One :class:`Result` per object of the batch ``table`` (see ``eval_query``)."""
-    ev = _Evaluator(table, bounds)
     if query.where is not None:
-        keep = ev.mask(query.where)
-        table = table.filter(pa.array(keep))
-        bounds = np.concatenate([[0], np.cumsum(keep)])[bounds].tolist()
-        ev = _Evaluator(table, bounds)
+        rows = _where(query.where, table, bounds)
+        if len(rows) < table.num_rows:
+            table = table.take(rows)
+            bounds = np.searchsorted(rows, bounds).tolist()
+    ev = _Evaluator(table, bounds)
 
     if aggregate:
         return [
@@ -818,25 +1067,20 @@ def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
     return results
 
 
-def eval_query(query: Query, df, bounds: list | None = None):
-    """Run a parsed query over one object's rows; returns the result frame.
+def eval_query(query: Query, table: pa.Table, bounds: list) -> list:
+    """Run a parsed query over a batch of objects: one :class:`Result` per object.
 
-    ``df`` is a ``pyarrow.Table`` (as decoded by ``csvio`` or
-    ``parquetio``) or a pandas frame. Aggregate queries return exactly
-    one row. Projection queries return the filtered/projected rows with
-    ``LIMIT`` applied last.
-
-    With ``bounds``, ``df`` is a batch: several objects' rows back to
-    back, object ``i`` being rows ``bounds[i]:bounds[i + 1]``. The result
-    is then a list holding, for each object, the :class:`Result` that it
-    alone gives (``Result.to_pandas()`` is its frame). The batch is
-    evaluated at once; if an object alone would type a value otherwise,
-    it is evaluated again one object at a time.
+    ``table`` holds the objects' rows back to back, as decoded by
+    ``csvio`` or ``parquetio``; object ``i`` is rows ``bounds[i]:bounds[i
+    + 1]`` (one object is ``[0, table.num_rows]``). Each object's
+    :class:`Result` is the one that it alone gives
+    (``Result.to_pandas()`` is its frame): an aggregate query's is
+    exactly one row, a projection's its filtered, projected rows with
+    ``LIMIT`` applied last. The batch is evaluated at once; if an object
+    alone would type a value otherwise, it is evaluated again one object
+    at a time.
     """
-    table = _table(df)
     aggregate = _check(query)
-    if bounds is None:
-        return _run(query, aggregate, table, [0, table.num_rows])[0].to_pandas()
     bounds = [int(b) for b in bounds]
     try:
         return _run(query, aggregate, table, bounds)

@@ -1,9 +1,10 @@
-"""Table schemas as Spark DDL text, and the one rule that types CSV rows.
+"""The one rule that types CSV rows by a table's schema.
 
 ``core.tables`` stores each table's schema as DDL (``"k BIGINT, v DOUBLE,
-s STRING"``). S3 Select returns only untyped CSV cells, so every
-compute-side reader types the columns it receives by the table's DDL
-with :func:`typed_array`, one Arrow array per column:
+s STRING"``; ``repro.ddl`` reads the text). S3 Select returns only
+untyped CSV cells, so every compute-side reader types the columns it
+receives by the table's DDL with :func:`typed_array`, one Arrow array
+per column:
 
 * ``BIGINT``/``INT``    -> ``int64``
 * ``DOUBLE``/``FLOAT``  -> ``float64``
@@ -30,28 +31,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from repro.ddl import parse_ddl
 from repro.s3sim.sql_eval import cells_to_numbers
 
 _INTEGRAL = ("BIGINT", "INT")
 _FRACTIONAL = ("DOUBLE", "FLOAT")
-
-
-def parse_ddl(ddl: str) -> dict:
-    """``{lower-case name: (name, upper-case type)}``, in DDL order."""
-    out = {}
-    for part in ddl.split(","):
-        name, typ = part.strip().split(" ", 1)
-        out[name.lower()] = (name, typ.strip().upper())
-    return out
-
-
-def project_ddl(ddl: str, columns: list) -> str:
-    """The DDL of ``columns`` (matched case-insensitively), in their order."""
-    fields = parse_ddl(ddl)
-    missing = [c for c in columns if c.lower() not in fields]
-    if missing:
-        raise ValueError(f"columns not in schema: {missing}")
-    return ", ".join(" ".join(fields[c.lower()]) for c in columns)
 
 
 def typed_array(values, sql_type: str) -> pa.Array:

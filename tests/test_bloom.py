@@ -6,8 +6,8 @@ import pandas as pd
 from hypothesis import given, settings, strategies as hst
 
 from repro.core import bloom
-from repro.s3sim.sql_eval import eval_query
 from repro.s3sim.sql_parser import parse
+from tests.reference import eval_frame
 
 
 def test_next_prime_small():
@@ -86,7 +86,7 @@ def test_predicate_evaluates_like_might_contain():
     probes = np.arange(1500)
     df = pd.DataFrame({"k": probes.astype(str)})
     sql = f"SELECT k FROM S3Object WHERE {bf.to_predicate('k')}"
-    out = eval_query(parse(sql), df)
+    out = eval_frame(sql, df)
     sql_hits = set(out["k"].astype(int))
     mem_hits = set(probes[bf.might_contain(probes)])
     assert sql_hits == mem_hits

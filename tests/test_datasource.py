@@ -229,6 +229,40 @@ def test_reader_narrows_to_an_int_or_float_schema(fresh_store):
     assert batch.to_pydict() == {"k": [1, 2], "v": [0.5, 1.5]}
 
 
+_PLANNER_CALLS = """
+import sys
+from pyspark.sql.datasource import EqualTo, StringStartsWith
+from pyspark.sql.types import LongType, StringType, StructField, StructType
+from repro.datasource.s3select import S3SelectDataSource
+
+ds = S3SelectDataSource({"root": sys.argv[1], "table": "p", "columns": "k, s"})
+assert ds.schema() == "k BIGINT, s STRING"
+schema = StructType([StructField("k", LongType()), StructField("s", StringType())])
+reader = ds.reader(schema)
+filters = [EqualTo(("k",), 3), StringStartsWith(("s",), "a")]
+assert list(reader.pushFilters(filters)) == []
+assert len(reader.partitions()) == 2
+print(sorted(m for m in ("pandas", "pyarrow") if m in sys.modules))
+"""
+
+
+def test_planner_calls_import_neither_pandas_nor_pyarrow(fresh_store):
+    """Spark runs ``schema``, ``pushFilters`` and ``partitions`` in short-lived
+    Python workers; none of them needs pandas or pyarrow, so a fresh
+    interpreter that makes those calls has loaded neither."""
+    import subprocess
+
+    import pandas as pd
+
+    write_table(fresh_store, "p", pd.DataFrame({"k": [1, 2, 3], "s": ["a", "b", "c"]}),
+                n_partitions=2)
+    out = subprocess.run(
+        [sys.executable, "-c", _PLANNER_CALLS, str(fresh_store.root)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 # -- zip directories on importlib.invalidate_caches() ----------------------
 
 _ZIP_MODULE = "zip_reuse_probe"

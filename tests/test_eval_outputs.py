@@ -6,7 +6,7 @@ plus the ``bytes_returned`` it bills. Each request runs three ways:
 
 * ``csv``     -- ``s3_select`` on a CSV object (decode + evaluate);
 * ``parquet`` -- ``s3_select`` on a Parquet object of the typed frame;
-* ``frame``   -- ``eval_query`` on the in-memory pandas frame.
+* ``frame``   -- ``eval_query`` on the in-memory pandas frame (``eval_frame``).
 
 The corpus covers the traps of evaluating untyped CSV fields: whether
 a column parses as ``int64`` or ``float64`` (which decides how values
@@ -30,8 +30,7 @@ import pytest
 
 from repro.s3sim import ObjectStore, csvio, parquetio
 from repro.s3sim.select_engine import s3_select
-from repro.s3sim.sql_eval import eval_query
-from repro.s3sim.sql_parser import parse
+from tests.reference import eval_frame
 from tests.test_sql_eval import _MULTI_ITEM, _generated, _select
 
 FIXTURE = Path(__file__).with_name("eval_outputs.json")
@@ -164,7 +163,7 @@ def _outputs(store, frame: str, sql: str) -> dict:
             **_record(out),
             "bytes_returned": store.log.read_since(mark).bytes_returned,
         }
-    got["frame"] = _record(eval_query(parse(sql), _frames()[frame]))
+    got["frame"] = _record(eval_frame(sql, _frames()[frame]))
     return got
 
 

@@ -3,6 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.s3sim import ObjectStore, csvio, parquetio, s3_select, select_all
+from repro.s3sim.errors import MalformedCSVError
 from repro.s3sim.select_engine import MAX_SQL_BYTES, S3SelectError
 
 
@@ -200,3 +201,54 @@ def test_head_cuts_lines_only_where_lines_are_rows():
     for name in ("quoted newline", "blank lines", "crlf"):
         assert csvio.head(OBJECTS[name], 1) is None
     assert csvio.head(b"a,b", 1) is None  # no line ends, not even the header's
+
+
+# -- malformed CSV -----------------------------------------------------------
+
+MALFORMED = {
+    "short row": (b"a,b\n1,x\n2\n3,z\n", 2, "expected 2 columns, got 1"),
+    "long row": (b"a,b\n1,x\n2,y\n3,z,w\n", 3, "expected 2 columns, got 3"),
+    "unterminated quote": (b'a,b\n1,"x\n2,y\n3,z\n', 1, "unterminated quote"),
+    "quote past a quoted newline": (b'a,b\n1,"x\ny"\n2,"y\n3,z\n', 2, "unterminated quote"),
+}
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a FROM S3Object", "SELECT COUNT(*) FROM S3Object",
+    "SELECT b FROM S3Object WHERE a = '1'",
+])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_csv_fails_the_request_unrecorded(tmp_path, name, sql):
+    """A short or long row, or an unterminated quote, is one named error
+    that gives the object's key and the data row, and no usage is recorded."""
+    store = ObjectStore(tmp_path)
+    data, row, problem = MALFORMED[name]
+    store.put("t/part0.csv", data)
+    pos = store.log.position()
+    with pytest.raises(MalformedCSVError, match=problem) as err:
+        s3_select(store, "t/part0.csv", sql)
+    assert isinstance(err.value, S3SelectError)
+    assert (err.value.key, err.value.row) == ("t/part0.csv", row)
+    assert f"t/part0.csv: data row {row}" in str(err.value)
+    assert store.log.position() == pos
+
+
+def test_malformed_object_fails_its_batch_unrecorded(st):
+    st.put("bad.csv", MALFORMED["short row"][0])
+    pos = st.log.position()
+    with pytest.raises(MalformedCSVError, match="bad.csv"):
+        select_all(st, ["t.csv", "bad.csv"], "SELECT a FROM S3Object")
+    assert st.log.position() == pos
+
+
+@pytest.mark.parametrize("name", ["short row", "long row"])
+def test_limit_answers_when_the_bad_row_is_past_its_prefix(tmp_path, name):
+    """A LIMIT with no WHERE and no aggregate decodes only its prefix of a
+    quote-free object, so a bad row after the prefix does not fail it."""
+    store = ObjectStore(tmp_path)
+    data, row, _ = MALFORMED[name]
+    store.put("t.csv", data)
+    out = s3_select(store, "t.csv", f"SELECT a, b FROM S3Object LIMIT {row - 1}")
+    assert out.values.tolist() == [["1", "x"], ["2", "y"]][: row - 1]
+    with pytest.raises(MalformedCSVError):
+        s3_select(store, "t.csv", f"SELECT a, b FROM S3Object LIMIT {row}")

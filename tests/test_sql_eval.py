@@ -8,14 +8,15 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from repro.core.bloom import build_from_keys
 from repro.s3sim import sql_eval
 from repro.s3sim.csvio import to_csv_bytes
 from repro.s3sim.sql_ast import Column
-from repro.s3sim.sql_eval import SqlEvalError, eval_query
-from repro.s3sim.sql_parser import parse
+from repro.s3sim.sql_eval import SqlEvalError
+from tests.reference import eval_frame
 
 
 @pytest.fixture()
@@ -32,7 +33,7 @@ def df():
 
 
 def run(sql, df):
-    return eval_query(parse(sql), df)
+    return eval_frame(sql, df)
 
 
 # -- projection ------------------------------------------------------------
@@ -675,3 +676,45 @@ def test_sliced_table_evaluates_like_a_copy():
     sliced = table.slice(1, 4)
     copied = pa.table({c: sliced[c].to_pylist() for c in sliced.column_names})
     pd.testing.assert_frame_equal(run(sql, sliced), run(sql, copied))
+
+
+@pytest.mark.parametrize("op", ["=", "!="])
+def test_bit_test_is_the_picked_character_compared(op):
+    """``SUBSTRING('<bits>', pos, 1) = '1'`` (the Bloom probe's bit test) is
+    read from the literal's bytes, with the three-valued result of comparing
+    the picked character: NULL where ``pos`` is NULL or out of range."""
+    bits = "0110"
+    cells = ["1", "2", "3", "4", "0", "5", "-1", "2.5", "", "abc", "1e30", " 3"]
+    test = f"SUBSTRING('{bits}', p, 1) {op} '1'"
+    out = run(f"SELECT {test} AS hit, NOT ({test}) AS miss FROM S3Object",
+              pd.DataFrame({"p": cells}))
+    pos = sql_eval._parse_numbers(sql_eval._nulled(pa.array(cells)))
+    picked = sql_eval._nulled(sql_eval._picked_chars(bits, pos.astype(np.float64)))
+    want = (pc.equal if op == "=" else pc.not_equal)(picked, "1")
+    assert [None if v is pd.NA else v for v in out["hit"]] == want.to_pylist()
+    assert [None if v is pd.NA else v for v in out["miss"]] == pc.invert(want).to_pylist()
+    assert want.null_count == 6
+
+
+def test_a_where_chain_frees_its_evaluators_without_the_collector(monkeypatch):
+    """The evaluators of a WHERE chain's later conjuncts hold no reference
+    cycle, so the batch's arrays go when the request ends, not when the
+    garbage collector next runs."""
+    import gc
+    import weakref
+
+    made, init = [], sql_eval._Kept.__init__
+
+    def tracked(self, *args):
+        made.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(sql_eval._Kept, "__init__", tracked)
+    df = pd.DataFrame({"a": [str(i) for i in range(20)], "b": ["x", "y"] * 10})
+    gc.disable()
+    try:
+        out = run("SELECT a FROM S3Object WHERE b = 'x' AND a > 4 AND a < 15", df)
+    finally:
+        gc.enable()
+    assert out["a"].tolist() == ["6", "8", "10", "12", "14"]
+    assert len(made) == 2 and all(ref() is None for ref in made)
