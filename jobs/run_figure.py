@@ -10,10 +10,13 @@ Tables land in ``store_root`` (default ``$REPRO_STORE``, else
 ``/tmp/pushdowndb-store``). Each figure runs at its module's default
 scale and prints its table of numbers (measured scale + projected to the
 paper's 10 GB) next to the paper's reference rows, then the headline
-shape checks.
+shape checks, then the figure's wall time and the driver's peak RSS so
+far (``ru_maxrss``; Spark's JVM is another process and not counted).
 """
 import os
+import resource
 import sys
+import time
 
 from repro.experiments import FIGURES
 
@@ -25,9 +28,13 @@ def run(spark, store_root: str, figures) -> None:
     store = ObjectStore(store_root)
     for fig in figures:
         exp = fig.module
+        start = time.perf_counter()
         rows = exp.run(spark, store)
+        wall_s = time.perf_counter() - start
         common.print_experiment(fig.title, rows, exp.PAPER)
         print("\nheadline:", exp.headline(rows))
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"wall: {wall_s:.1f} s, driver peak RSS: {peak_mb:.0f} MB")
 
 
 def main(argv: list[str]) -> None:

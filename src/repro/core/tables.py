@@ -17,8 +17,11 @@ naming the byte range of each data row, which phase 2 of the index
 algorithm fetches with single-range GETs.
 
 ``StoredTable.pdf`` is the oracle's pandas copy of the rows, for tests
-and result checks: the frame ``write_table`` landed, or, for a table
-read back from the store, the objects decoded on first access.
+and result checks: the stored objects decoded on first access, each
+typed by the DDL on its own, then concatenated. No operator reads it.
+Landing keeps no reference to the frame it lands, and renders each
+object from that object's own rows, so once the caller lets the frame go
+the driver holds only the manifest.
 
 Dates are normalized to ISO-8601 strings end-to-end: S3 Select's CSV
 engine is untyped, and ISO strings compare correctly both
@@ -77,14 +80,23 @@ class StoredTable:
 
     @property
     def pdf(self) -> pd.DataFrame:
-        """The oracle's typed pandas copy of every row (see module docstring)."""
+        """The oracle's pandas copy of every row, decoded on first access.
+
+        Each object is decoded and typed by the DDL on its own, and the
+        frames are concatenated: the same frame as typing every object's
+        rows at once (a BIGINT column with a NULL in any object is
+        ``float64``), holding one object's cells at a time.
+        """
         if self._pdf is None:
-            self._pdf = apply_schema(
-                pa.concat_tables(
-                    csvio.from_csv_bytes(self._store.storage_read(k), key=k)
+            self._pdf = pd.concat(
+                [
+                    apply_schema(
+                        csvio.from_csv_bytes(self._store.storage_read(k), key=k),
+                        self.schema_ddl,
+                    )
                     for k in self.keys
-                ),
-                self.schema_ddl,
+                ],
+                ignore_index=True,
             )
         return self._pdf
 
@@ -102,7 +114,10 @@ def normalize(pdf: pd.DataFrame) -> pd.DataFrame:
 
 
 def schema_ddl(pdf: pd.DataFrame) -> str:
-    """Spark DDL for a normalized frame (int64/float64/str only)."""
+    """Spark DDL for a frame: int64 is BIGINT, float64 DOUBLE, anything else STRING.
+
+    A date column is a STRING whether or not it is normalized yet.
+    """
     parts = []
     for c in pdf.columns:
         dt = pdf[c].dtype
@@ -205,24 +220,25 @@ def write_table(
 ) -> StoredTable:
     """Partition ``pdf`` into CSV objects ``<name>/part{i}.csv`` (+extras).
 
-    Each object's columns are rendered once (``csvio.render``); its CSV
-    bytes, its rows' byte ranges for the index objects, and the
-    manifest's statistics all come from those cells. A text cell holding
-    a ``\\r`` raises :class:`UnquotedCellError` before anything is written.
+    Each object is normalized and its columns rendered once
+    (``csvio.render``) from its own rows; its CSV bytes, its rows' byte
+    ranges for the index objects, and the manifest's statistics all come
+    from those cells. A text cell holding a ``\\r`` raises
+    :class:`UnquotedCellError` before anything is written. The returned
+    table holds no reference to ``pdf``.
     """
-    for c in pdf.columns:  # before any object is written
+    for c in pdf.columns:  # before any object is written, one column at a time
         if pdf[c].dtype.kind == "O" and pc.any(
             pc.match_substring(csvio.render(pdf[c]), "\r")
         ).as_py():
             raise UnquotedCellError(f"table {name!r}: column {c!r} holds a carriage return")
-    pdf = normalize(pdf)
     ddl = schema_ddl(pdf)
     chunks = np.array_split(np.arange(len(pdf)), n_partitions)
     keys, parquet_keys, stats = [], [], {}
     total = 0
     pq_total = 0
     for i, idx in enumerate(chunks):
-        part = pdf.iloc[idx]
+        part = normalize(pdf.iloc[idx])
         cells = {c: csvio.render(part[c]) for c in part.columns}
         data, bounds = csvio.encode(cells)
         key = f"{name}/part{i}.csv"
@@ -272,7 +288,7 @@ def write_table(
         parquet_keys=parquet_keys,
         index_columns=list(index_columns),
         parquet_bytes=pq_total,
-        _pdf=pdf,
+        _store=store,
     )
 
 

@@ -53,7 +53,11 @@ conditions share one parse of ``g``, and a Bloom probe's k
 ``SUBSTRING`` hashes share one ``CAST(key AS INT)``. The memo is keyed
 by the AST nodes themselves, whose equality includes literal types
 (``c + 1`` and ``c + 1.0`` stay apart; see ``Literal``), and lives on
-the evaluator, i.e. for one batch of requests only.
+the evaluator, i.e. for one batch of requests only. An aggregate query
+is evaluated item by item: once every object has taken an item's value,
+the memo forgets each node that no later item references, so Q1 holds
+one ``CASE`` vector at a time, next to the conditions and casts
+that later items still share.
 
 A batch is the same query over several objects, their rows back to back
 (``eval_query``'s ``bounds``): each distinct node is evaluated once over
@@ -435,6 +439,11 @@ def _conjuncts(e) -> list:
     return [e]
 
 
+def _last_uses(items: list) -> dict:
+    """Each node the select items reference -> the index of the last item that does."""
+    return {n: i for i, it in enumerate(items) for n in walk(it.expr)}
+
+
 def _vector(col: pa.ChunkedArray):
     """A stored column as an evaluator value."""
     arr = col.combine_chunks() if col.num_chunks != 1 else col.chunk(0)
@@ -481,6 +490,18 @@ class _Evaluator:
             _Evaluator(self.table.slice(lo, hi - lo), rows=_Rows(self, lo, hi))
             for lo, hi in _pairs(self.bounds)
         ]
+
+    def release(self, last_use: dict, item: int) -> None:
+        """Forget every memoized node that no select item after ``item`` references.
+
+        ``last_use`` is :func:`_last_uses` of the items; a node it lacks
+        (one an evaluation built, such as a ``BETWEEN``'s two comparisons)
+        is forgotten too.
+        """
+        for name in _MEMOS:
+            memo = getattr(self, name)
+            for e in [e for e in memo if last_use.get(e, -1) <= item]:
+                del memo[e]
 
     def check_alone(self, alone) -> None:
         """Raise ``_Ragged`` if ``alone(lo, hi)``, for some object's rows ``lo:hi``.
@@ -1024,14 +1045,14 @@ def _run(query: Query, aggregate: bool, table: pa.Table, bounds: list) -> list:
     ev = _Evaluator(table, bounds)
 
     if aggregate:
-        return [
-            Result(
-                {it.alias or f"_{i + 1}": obj.eval(it.expr)
-                 for i, it in enumerate(query.items)},
-                1, aggregate=True,
-            )
-            for obj in ev.objects()
-        ]
+        # Item by item, so that the memo can forget what no later item uses.
+        objects, last_use = ev.objects(), _last_uses(query.items)
+        columns = [{} for _ in objects]
+        for i, it in enumerate(query.items):
+            for obj, out in zip(objects, columns):
+                out[it.alias or f"_{i + 1}"] = obj.eval(it.expr)
+            ev.release(last_use, i)
+        return [Result(c, 1, aggregate=True) for c in columns]
 
     # Rows are independent, so LIMIT can cut them before projecting.
     if query.limit is not None:

@@ -21,6 +21,16 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _pick(g: np.random.Generator, options: list, n: int) -> np.ndarray:
+    """``g.choice(options, n)``, draw for draw, as an object array of ``options``.
+
+    ``choice`` draws ``g.integers(0, len(options), n)`` and copies each
+    pick into a fixed-width string; indexing one object array with those
+    draws instead makes every row of an option share its one string.
+    """
+    return np.array(options, dtype=object)[g.integers(0, len(options), n)]
+
+
 def lineitem_frame(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
@@ -35,17 +45,17 @@ def lineitem_frame(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
             "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
             "l_discount": (g.random(n) * 0.1).round(2),
             "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
+            "l_returnflag": _pick(g, list("NRA"), n),
+            "l_linestatus": _pick(g, list("OF"), n),
             "l_shipdate": pd.to_datetime("1992-01-01")
             + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
             # Extensions for TPC-H Q17/Q19 (drawn after the original
             # columns so their values are unchanged for a given seed).
-            "l_shipinstruct": g.choice(
-                ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"], n
+            "l_shipinstruct": _pick(
+                g, ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"], n
             ),
-            "l_shipmode": g.choice(
-                ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"], n
+            "l_shipmode": _pick(
+                g, ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"], n
             ),
         }
     )
@@ -59,12 +69,12 @@ def orders_frame(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
         {
             "o_orderkey": np.arange(1, n + 1),
             "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
+            "o_orderstatus": _pick(g, list("OFP"), n),
             "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
             "o_orderdate": pd.to_datetime("1992-01-01")
             + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
+            "o_orderpriority": _pick(
+                g, ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
             ),
             # Extension for TPC-H Q3 (constant 0 in TPC-H data).
             "o_shippriority": np.zeros(n, dtype="int64"),
@@ -78,14 +88,15 @@ def part_frame(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
     return pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
+            "p_type": _pick(
+                g, ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
             ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
+            "p_brand": _pick(g, [f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
             "p_size": g.integers(1, 51, n),
             "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
             # Extension for TPC-H Q17/Q19.
-            "p_container": g.choice(
+            "p_container": _pick(
+                g,
                 [
                     f"{sz} {kind}"
                     for sz in ("SM", "MED", "LG", "JUMBO", "WRAP")
@@ -105,8 +116,8 @@ def customer_frame(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
             "c_custkey": np.arange(1, n + 1),
             "c_nationkey": g.integers(0, 25, n),
             "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
+            "c_mktsegment": _pick(
+                g, ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
             ),
         }
     )

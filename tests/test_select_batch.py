@@ -9,15 +9,18 @@ batch with ``['3', '']``). Frames (values and dtypes), their CSV bytes
 and the usage records must all be those of the per-object requests.
 """
 import tempfile
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
+from repro import synth_data
 from repro.core.bloom import build_from_keys
 from repro.s3sim import ObjectStore, csvio, parquetio, s3_select, select_all
-from repro.s3sim.sql_eval import SqlEvalError
+from repro.s3sim.sql_eval import SqlEvalError, _Evaluator
 
 BLOOM = build_from_keys([1, 4, 9, 16, 25], fpr=0.3).to_predicate("k")
 
@@ -119,3 +122,57 @@ def test_objects_with_other_columns_are_evaluated_alone(tmp_path):
         pd.testing.assert_frame_equal(got, s3_select(store, key, "SELECT * FROM S3Object"))
     with pytest.raises(SqlEvalError, match="no such column"):
         select_all(store, keys, "SELECT b FROM S3Object")
+
+
+def _q1_items() -> list:
+    """Q1's 36 ``SUM(CASE ...)`` items: 6 groups x 6 sums, over 6 conditions and 4 CASTs."""
+    price = "CAST(l_extendedprice AS FLOAT)"
+    disc_price = f"{price} * (1 - CAST(l_discount AS FLOAT))"
+    sums = [
+        "CAST(l_quantity AS FLOAT)", price, disc_price,
+        f"{disc_price} * (1 + CAST(l_tax AS FLOAT))", "CAST(l_discount AS FLOAT)", "1",
+    ]
+    return [
+        f"SUM(CASE WHEN l_returnflag = '{flag}' AND l_linestatus = '{status}' "
+        f"THEN {expr} ELSE 0 END) AS s{i}_{g}"
+        for g, (flag, status) in enumerate((f, s) for f in "ANR" for s in "FO")
+        for i, expr in enumerate(sums)
+    ]
+
+
+def test_q1_batch_answers_as_one_request_per_object_and_frees_each_case_vector(
+    tmp_path, monkeypatch
+):
+    store = ObjectStore(tmp_path)
+    lineitem = synth_data.lineitem_frame(sf=0.0005)
+    lineitem["l_shipdate"] = lineitem["l_shipdate"].dt.strftime("%Y-%m-%d")
+    keys = [f"lineitem/part{i}.csv" for i in range(4)]
+    for key, rows in zip(keys, np.array_split(np.arange(len(lineitem)), 4)):
+        store.put(key, csvio.to_csv_bytes(lineitem.iloc[rows]))
+    sql = (
+        "SELECT " + ", ".join(_q1_items()) + " FROM S3Object"
+        " WHERE l_shipdate <= '1998-09-02'"
+    )
+    want, want_usage = _records(store, lambda: [s3_select(store, k, sql) for k in keys])
+
+    case_vectors = {}  # CASE node -> a weak reference to its batch vector
+    eval_case, eval_aggregate = _Evaluator._eval_case, _Evaluator._eval_aggregate
+
+    def recorded_case(self, e):
+        v = eval_case(self, e)
+        case_vectors[e] = weakref.ref(v)
+        return v
+
+    def checked_aggregate(self, e):
+        held = [node for node, v in case_vectors.items() if v() is not None]
+        assert held in ([], [e.args[0]])  # only this item's vector, if any
+        return eval_aggregate(self, e)
+
+    monkeypatch.setattr(_Evaluator, "_eval_case", recorded_case)
+    monkeypatch.setattr(_Evaluator, "_eval_aggregate", checked_aggregate)
+    got, got_usage = _records(store, lambda: select_all(store, keys, sql))
+    assert len(case_vectors) == 36
+    for g, w in zip(got, want, strict=True):
+        pd.testing.assert_frame_equal(g, w, check_exact=True)
+        assert csvio.to_csv_bytes(g) == csvio.to_csv_bytes(w)
+    assert got_usage == want_usage

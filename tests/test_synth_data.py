@@ -6,7 +6,7 @@ import pytest
 from repro import synth_data
 
 
-@pytest.mark.parametrize("name, kw", [
+TABLES = [
     ("lineitem", {"sf": 0.002}),
     ("orders", {"sf": 0.002}),
     ("part", {"sf": 0.002}),
@@ -14,10 +14,32 @@ from repro import synth_data
     ("filter_table", {"n": 1000}),
     ("groups_table", {"n": 1000, "kind": "zipf", "theta": 1.1}),
     ("wide_table", {"n": 1000, "n_cols": 3}),
-])
+]
+
+
+@pytest.mark.parametrize("name, kw", TABLES)
 def test_spark_wrapper_has_the_frames_rows(spark, name, kw):
     got = getattr(synth_data, name)(spark, **kw).toPandas()
     pd.testing.assert_frame_equal(got, getattr(synth_data, f"{name}_frame")(**kw))
+
+
+@pytest.mark.parametrize("n_options", [2, 3, 5, 25, 40])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_pick_draws_as_choice(n_options, seed):
+    options = [f"option {i}" for i in range(n_options)]
+    picker, chooser = np.random.default_rng(seed), np.random.default_rng(seed)
+    picked = synth_data._pick(picker, options, 5000)
+    assert picked.tolist() == chooser.choice(options, 5000).tolist()
+    assert picker.random() == chooser.random()  # the streams stay in step
+
+
+@pytest.mark.parametrize("name, kw", TABLES)
+def test_string_columns_hold_one_object_per_option(name, kw):
+    frame = getattr(synth_data, f"{name}_frame")(**kw)
+    for c in frame.columns:
+        if frame[c].dtype == object:
+            values = frame[c].to_numpy()
+            assert len({id(v) for v in values}) == len(set(values)), c
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +133,44 @@ def test_read_stored_table_roundtrip(fresh_store, pdf, monkeypatch):
     assert back.n_rows == t.n_rows
     assert back.index_columns == ["k"]
     assert (back.widths, back.domains) == (t.widths, t.domains)
-    pd.testing.assert_frame_equal(back.pdf, t.pdf)
+    pd.testing.assert_frame_equal(back.pdf, T.normalize(pdf))
     assert len(decoded) == 3  # the oracle's copy, loaded on first access
+
+
+def test_landing_lets_go_of_its_frame(fresh_store):
+    columns = {
+        "k": np.arange(10),
+        "d": pd.to_datetime(["1995-01-02"] * 10).to_numpy(),
+        "s": np.array(list("abcdefghij"), dtype=object),
+    }
+    pdf = pd.DataFrame(columns, copy=False)  # the frame holds these very arrays
+    held = [weakref.ref(pdf)] + [weakref.ref(a) for a in columns.values()]
+    t = T.write_table(fresh_store, "t", pdf, n_partitions=3,
+                      index_columns=("k",), parquet=True)
+    del pdf, columns
+    assert [ref() is None for ref in held] == [True] * 4
+    assert t.pdf["d"].tolist() == ["1995-01-02"] * 10  # decoded from the objects
+
+
+def test_pdf_types_each_object_as_all_objects_at_once(fresh_store):
+    """A BIGINT NULL in one object only, an empty STRING cell, a date, empty objects."""
+    pdf = pd.DataFrame({
+        "k": pd.array([1, None, 3, 4, 5], dtype="Int64"),
+        "s": ["a", "", "c", "d", "e"],
+        "d": pd.to_datetime(["1995-01-02", None, "1996-03-04", "1997-05-06", "1998-07-08"]),
+        "v": [0.5, 1.5, 2.5, 3.5, 4.5],
+    })
+    t = T.write_table(fresh_store, "t", pdf, n_partitions=8)
+    assert t.schema_ddl == "k BIGINT, s STRING, d STRING, v DOUBLE"
+    at_once = T.apply_schema(
+        pa.concat_tables(csvio.from_csv_bytes(fresh_store.storage_read(k)) for k in t.keys),
+        t.schema_ddl,
+    )
+    assert at_once["k"].dtype == "float64" and at_once["s"][1] is None
+    pd.testing.assert_frame_equal(t.pdf, at_once, check_exact=True)
+    pd.testing.assert_frame_equal(
+        T.read_stored_table(fresh_store, "t").pdf, at_once, check_exact=True
+    )
 
 
 def test_manifest_column_statistics(fresh_store):
@@ -145,9 +182,10 @@ def test_manifest_column_statistics(fresh_store):
         "d": pd.to_datetime(["1995-01-02", "1996-03-04"] * 50),
     })
     t = T.write_table(fresh_store, "t", pdf, n_partitions=3)
-    # A CSV cell holds str(value): the width is the oracle frame's.
+    # A CSV cell holds str(value): the width is the normalized frame's.
+    norm = T.normalize(pdf)
     assert t.widths == {
-        c: t.pdf[c].astype(str).str.len().mean() for c in t.pdf.columns
+        c: norm[c].astype(str).str.len().mean() for c in norm.columns
     }
     assert t.domains == {
         "flag": ["A", "R"], "small": [0, 1, 2, 3],
@@ -161,7 +199,8 @@ def test_column_statistics_over_objects_and_empty_objects(fresh_store, n_partiti
     """Objects, some with no rows at all, add up to the frame's statistics."""
     pdf = pd.DataFrame({"k": range(40), "flag": ["R", "A", ""] * 13 + ["N"]})
     t = T.write_table(fresh_store, "t", pdf, n_partitions=n_partitions)
-    assert t.widths == {c: t.pdf[c].astype(str).str.len().mean() for c in t.pdf.columns}
+    norm = T.normalize(pdf)
+    assert t.widths == {c: norm[c].astype(str).str.len().mean() for c in norm.columns}
     assert t.domains == {"flag": ["A", "N", "R"]}
 
 
